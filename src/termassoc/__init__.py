@@ -37,7 +37,7 @@ from .stats import (
     direction,
 )
 from .synth import DetectorMetrics, PlantedTerm, SyntheticSpec, evaluate_detector, generate_corpus
-from .textproc import DocTermSet, Term, extract_terms, iter_ngrams, split_sentences, tokenize
+from .textproc import DocTermSet, extract_terms, iter_ngrams, split_sentences, tokenize
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "ReportRow",
     "ScopeReport",
     "SyntheticSpec",
-    "Term",
     "TermResult",
     "bonferroni_threshold",
     "build_scope_report",

@@ -4,8 +4,7 @@ Subcommands: link, dedup, clean, analyze, report, synth, pipeline. Every
 stage reads and writes plain files (JSON-lines corpora, CSV/JSONL/text
 reports, a JSON manifest), so intermediate artifacts can be checked by hand.
 Identical inputs, config and seed produce byte-identical outputs whatever the
-thread count or input line order. Set TERMASSOC_LOG=DEBUG|INFO|WARNING for
-log verbosity.
+input line order. Set TERMASSOC_LOG=DEBUG|INFO|WARNING for log verbosity.
 """
 
 from __future__ import annotations
@@ -14,13 +13,14 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import cleanse, corpus, pipeline, synth
 from .report import emit_report, parse_jsonl
@@ -46,7 +46,7 @@ class PipelineConfig:
     top_k: int = 50
     min_abstract_chars: int = 500
     scopes: list[str] = field(default_factory=lambda: ["units", "panels", "all"])
-    threads: int = 1
+    threads: int = 1                       # read by nothing: scopes run one at a time
     groups: Optional[list] = None          # GroupScheme.to_config() entries
     drop_missing_unit: bool = True
 
@@ -56,9 +56,15 @@ class PipelineConfig:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"config file {path!r} must hold a JSON object")
             unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            hints = get_type_hints(cls)
+            for key, value in raw.items():
+                if not _matches_type(value, hints[key]):
+                    raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
             cfg = dataclasses.replace(cfg, **raw)
         for name in ("scores", "metadata", "rules", "output_dir", "seed", "alpha",
                      "min_df", "top_k", "min_abstract_chars", "threads"):
@@ -76,7 +82,7 @@ class PipelineConfig:
             return corpus.default_group_scheme()
         return corpus.GroupScheme.from_config(self.groups)
 
-    def analysis_config(self, scope: str = "unit") -> AnalysisConfig:
+    def analysis_config(self) -> AnalysisConfig:
         return AnalysisConfig(
             group_scheme=self.group_scheme(),
             n_max=self.n_max,
@@ -84,7 +90,6 @@ class PipelineConfig:
             alpha=self.alpha,
             top_k=self.top_k,
             seed=self.seed,
-            scope=scope,
         )
 
     def load_rules(self) -> list[cleanse.CleaningRule]:
@@ -96,7 +101,7 @@ class PipelineConfig:
         """Hash of the analysis-relevant settings.
 
         Paths, thread count and log level are runtime concerns and stay out,
-        so reruns with different parallelism carry the same hash.
+        so reruns that differ only in those carry the same hash.
         """
         semantic = {
             "seed": self.seed,
@@ -112,6 +117,18 @@ class PipelineConfig:
         }
         blob = json.dumps(semantic, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _matches_type(value, hint) -> bool:
+    """Whether a JSON config value fits an annotation; ints pass as floats, bools only as bools."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_matches_type(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_matches_type(v, arg) for v in value for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _write_atomic(path: Path, text: str):
@@ -157,11 +174,11 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
         rows.append([rec_id, meta_id, kind, "true" if reason else "false", reason])
     for rec_id in link.unmatched:
         rows.append([rec_id, "", "none", "false", ""])
-    buf = []
-    writer = csv.writer(_ListWriter(buf), lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["record_id", "metadata_id", "match_kind", "suspicious", "reason"])
     writer.writerows(sorted(rows))
-    _write_atomic(out / "link_report.csv", "".join(buf))
+    _write_atomic(out / "link_report.csv", buf.getvalue())
 
     corpus.write_jsonl(out / "merged.jsonl", merged)
     by_kind = {"doi": 0, "title_journal": 0}
@@ -182,16 +199,6 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     return link, merged
 
 
-class _ListWriter:
-    """File-like shim so csv.writer can fill a list of strings."""
-
-    def __init__(self, sink: list):
-        self.sink = sink
-
-    def write(self, chunk: str):
-        self.sink.append(chunk)
-
-
 def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Document]:
     docs = _read_documents(in_path, "corpus")
     deduped = corpus.dedup_within_unit(docs, scope, cfg.seed)
@@ -205,10 +212,7 @@ def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Docu
 def run_clean(cfg: PipelineConfig, in_path: str) -> list[corpus.Document]:
     docs = _read_documents(in_path, "corpus")
     rules = cfg.load_rules()
-    cleaned = [
-        dataclasses.replace(d, abstract_clean=cleanse.clean_abstract(d.abstract_raw, rules))
-        for d in docs
-    ]
+    cleaned = pipeline.clean_documents(docs, rules)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus.write_jsonl(out / "cleaned.jsonl", cleaned)
@@ -230,7 +234,6 @@ def run_analyze(cfg: PipelineConfig, docs: list[corpus.Document]) -> dict:
         cfg.analysis_config(),
         cfg.load_rules(),
         cfg.min_abstract_chars,
-        cfg.threads,
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -283,7 +286,7 @@ def run_synth(cfg: PipelineConfig, spec_path: str, sims: int, corpus_out: Option
         write_corpus_files(docs, corpus_dir)
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
-    metrics = synth.evaluate_detector(spec, cfg.analysis_config(scope="all"), sims)
+    metrics = synth.evaluate_detector(spec, cfg.analysis_config(), sims)
     _write_atomic(out / "metrics.json", json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n")
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="family significance level")
         p.add_argument("--top-k", dest="top_k", type=int, help="terms per report")
         p.add_argument("--min-df", dest="min_df", type=int, help="minimum documents per term")
-        p.add_argument("--threads", type=int, help="worker threads for scope analysis")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; scopes run one at a time")
         p.add_argument("--rules", metavar="PATH", help="cleaning rules JSON")
         p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
 
@@ -407,8 +410,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
-        if getattr(args, "min_abstract_chars", None) is not None:
-            cfg.min_abstract_chars = args.min_abstract_chars
         if args.command == "link":
             run_link(cfg)
         elif args.command == "dedup":

@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -28,8 +27,6 @@ for _u in range(1, 35):
 
 SUSPICIOUS_TITLE_CHARS = 20
 
-_WS_RE = re.compile(r"\s+")
-
 
 class PipelineOrderError(RuntimeError):
     """A stage ran before one of its prerequisites."""
@@ -43,13 +40,13 @@ def normalize_doi(doi) -> Optional[str]:
     return doi or None
 
 
+def _squash(text: str) -> str:
+    return "".join((text or "").lower().split())
+
+
 def title_journal_key(title: str, journal: str) -> str:
     """Linkage key: title then journal, lowercased, all whitespace removed."""
-    return _WS_RE.sub("", (title or "").lower()) + _WS_RE.sub("", (journal or "").lower())
-
-
-def normalized_title(title: str) -> str:
-    return _WS_RE.sub("", (title or "").lower())
+    return _squash(title) + _squash(journal)
 
 
 def panel_for_unit(unit: str) -> str:
@@ -114,13 +111,6 @@ class ParseResult:
     documents: list[Document]
     errors: list[tuple[int, str]]   # (1-based line number, diagnostic)
     warnings: list[tuple[int, str]]
-
-    def raise_on_errors(self):
-        if self.errors:
-            first = self.errors[0]
-            raise ValueError(
-                f"{len(self.errors)} malformed record(s); first at line {first[0]}: {first[1]}"
-            )
 
 
 _STR_FIELDS = ("id", "doi", "title", "journal", "abstract", "abstract_clean", "unit", "panel", "submitter")
@@ -336,8 +326,9 @@ def link_by_title_journal(unmatched: list[Document], index: MetadataIndex) -> Li
             continue
         pair = (rec.id, ids[0], "title_journal")
         result.matched.append(pair)
-        if len(normalized_title(rec.title)) < SUSPICIOUS_TITLE_CHARS:
-            result.suspicious.append(((rec.id, ids[0]), f"short title ({len(normalized_title(rec.title))} chars)"))
+        title_chars = len(_squash(rec.title))
+        if title_chars < SUSPICIOUS_TITLE_CHARS:
+            result.suspicious.append(((rec.id, ids[0]), f"short title ({title_chars} chars)"))
     return result
 
 

@@ -1,16 +1,15 @@
-"""Per-scope orchestration: dedup -> clean -> filter -> extract -> stats -> report.
+"""Orchestration: clean once, then per scope dedup -> filter -> extract -> stats -> report.
 
 Scopes are identified as "unit:<code>", "panel:<letter>" or "all". Every stage
 is deterministic for a fixed seed, and scope outcomes are independent of each
-other, so scopes may run on a thread pool; outputs are canonically ordered
-before writing regardless of worker count.
+other; scopes run one at a time and outputs are canonically ordered before
+writing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,15 +69,18 @@ def expand_scopes(docs: list[Document], requested: list[str]) -> list[str]:
     return unique
 
 
+def clean_documents(docs: list[Document], rules: list[CleaningRule]) -> list[Document]:
+    """Copies of docs with abstract_clean set from abstract_raw by the rules."""
+    return [dataclasses.replace(d, abstract_clean=clean_abstract(d.abstract_raw, rules)) for d in docs]
+
+
 def analyze_scope(
     docs: list[Document],
     scope: str,
     config: AnalysisConfig,
-    rules: list[CleaningRule],
     min_abstract_chars: int = 500,
-    clean_cache: Optional[dict[str, str]] = None,
 ) -> ScopeOutcome:
-    """Run the full analysis for one scope's documents.
+    """Run the full analysis for one scope's cleaned documents.
 
     Returns an outcome with `skipped` set (and no report) when the scope is
     degenerate: no documents survive the filters or some group is empty.
@@ -88,17 +90,7 @@ def analyze_scope(
         return ScopeOutcome(scope, skipped="no documents in scope")
 
     deduped = dedup_within_unit(subset, scope_kind(scope), config.seed)
-
-    cleaned = []
-    for doc in deduped:
-        text = None if clean_cache is None else clean_cache.get(doc.id)
-        if text is None:
-            text = clean_abstract(doc.abstract_raw, rules)
-            if clean_cache is not None:
-                clean_cache[doc.id] = text
-        cleaned.append(dataclasses.replace(doc, abstract_clean=text))
-
-    filtered = filter_documents(cleaned, min_abstract_chars)
+    filtered = filter_documents(deduped, min_abstract_chars)
     if not filtered.documents:
         return ScopeOutcome(scope, skipped="no documents after filtering")
 
@@ -130,24 +122,13 @@ def analyze_scopes(
     config: AnalysisConfig,
     rules: list[CleaningRule],
     min_abstract_chars: int = 500,
-    threads: int = 1,
 ) -> dict[str, ScopeOutcome]:
-    """Analyze several scopes, optionally on a thread pool.
-
-    Cleaned abstracts are cached by document id across scopes (cleaning is
-    pure, so the benign race under threads cannot change results).
-    """
-    cache: dict[str, str] = {}
-
-    def run(scope: str) -> ScopeOutcome:
-        outcome = analyze_scope(docs, scope, config, rules, min_abstract_chars, cache)
+    """Clean every document once, then analyze the scopes one after another."""
+    cleaned = clean_documents(docs, rules)
+    outcomes = {}
+    for scope in scopes:
+        outcome = analyze_scope(cleaned, scope, config, min_abstract_chars)
         if outcome.skipped:
             logger.warning("scope %s skipped: %s", scope, outcome.skipped)
-        return outcome
-
-    if threads > 1 and len(scopes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, scopes))
-    else:
-        outcomes = [run(s) for s in scopes]
-    return {o.scope: o for o in outcomes}
+        outcomes[scope] = outcome
+    return outcomes

@@ -44,12 +44,6 @@ class ContingencyTable:
                 raise ValueError(f"present count {k_g} outside [0, {n_g}]")
 
     @property
-    def degenerate(self) -> bool:
-        """True when the term is constant: present in no document or in all."""
-        total = sum(self.present)
-        return total == 0 or total == sum(self.group_sizes)
-
-    @property
     def total_present(self) -> int:
         return sum(self.present)
 
@@ -57,8 +51,8 @@ class ContingencyTable:
 def chi_square(table: ContingencyTable) -> float:
     """Pearson statistic sum((O-E)^2/E) over the groups x {present, absent} cells.
 
-    Expected counts come from the row/column marginals. Degenerate (constant)
-    tables score 0.0 rather than erroring; see ContingencyTable.degenerate.
+    Expected counts come from the row/column marginals. Constant tables, whose
+    term is present in no document or in all, score 0.0 rather than erroring.
     Groups with N_g = 0 contribute nothing (their expected counts are 0).
     """
     total_present = sum(table.present)
@@ -206,7 +200,6 @@ class AnalysisConfig:
     alpha: float = 0.05
     top_k: int = 50
     seed: int = 0
-    scope: str = "unit"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -215,8 +208,6 @@ class AnalysisConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.min_doc_frequency < 1:
             raise ValueError(f"min_doc_frequency must be >= 1, got {self.min_doc_frequency}")
-        if self.scope not in ("unit", "panel", "all"):
-            raise ValueError(f"scope must be unit, panel or all, got {self.scope!r}")
 
 
 def build_tables(

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cleanse import default_rules
 from .corpus import Document, GroupScheme, default_group_scheme
-from .pipeline import analyze_scope
+from .pipeline import analyze_scope, clean_documents
 from .stats import AnalysisConfig
 from .textproc import tokenize
 
@@ -226,8 +226,8 @@ def evaluate_detector(
     thresholds = []
     for sim in range(n_sims):
         sim_spec = replace(spec, seed=derive_seed(spec.seed, sim))
-        corpus = generate_corpus(sim_spec, config.group_scheme)
-        outcome = analyze_scope(corpus, "all", config, rules, min_abstract_chars)
+        corpus = clean_documents(generate_corpus(sim_spec, config.group_scheme), rules)
+        outcome = analyze_scope(corpus, "all", config, min_abstract_chars)
         if outcome.skipped:
             raise RuntimeError(f"simulation {sim} produced a degenerate corpus: {outcome.skipped}")
         significant = {r.term for r in outcome.results if r.significant}

@@ -8,10 +8,9 @@ sets: a term counts once per document no matter how often it occurs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .corpus import Document
 
@@ -81,26 +80,6 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
 
 
 @dataclass
-class Term:
-    """A word or phrase; `rendered` is the canonical dictionary key."""
-
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        self.tokens = tuple(self.tokens)
-        if not self.tokens or any(not t for t in self.tokens):
-            raise ValueError("a term needs at least one non-empty token")
-
-    @property
-    def rendered(self) -> str:
-        return " ".join(self.tokens)
-
-    @classmethod
-    def from_rendered(cls, rendered: str) -> "Term":
-        return cls(tuple(rendered.split(" ")))
-
-
-@dataclass
 class DocTermSet:
     doc_id: str
     terms: set[str] = field(default_factory=set)
@@ -132,25 +111,3 @@ def extract_terms(doc: Document, n_max: int = 5, abbreviations=DEFAULT_ABBREVIAT
         if tokens:
             terms.update(iter_ngrams(tokens, n_max))
     return DocTermSet(doc.id, terms)
-
-
-def extract_all(docs: Iterable[Document], n_max: int = 5) -> list[DocTermSet]:
-    return [extract_terms(doc, n_max) for doc in docs]
-
-
-def dump_term_sets(term_sets: Iterable[DocTermSet], path):
-    """Write term sets as JSON-lines {"id", "terms": [...]}, terms sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ts in term_sets:
-            fh.write(json.dumps({"id": ts.doc_id, "terms": sorted(ts.terms)}, ensure_ascii=False) + "\n")
-
-
-def load_term_sets(path) -> list[DocTermSet]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append(DocTermSet(obj["id"], set(obj["terms"])))
-    return out

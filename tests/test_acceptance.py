@@ -108,7 +108,7 @@ def test_criterion_04_planted_term_recovery():
         planted=[PlantedTerm(("zzalpha", "zzbeta"), (0.01, 0.02, 0.20))],
         seed=2024,
     )
-    config = AnalysisConfig(n_max=5, min_doc_frequency=10, alpha=0.05, scope="all")
+    config = AnalysisConfig(n_max=5, min_doc_frequency=10, alpha=0.05)
     start = time.perf_counter()
     metrics = evaluate_detector(spec, config, n_sims=20, min_abstract_chars=500)
     elapsed = time.perf_counter() - start
@@ -130,7 +130,7 @@ def test_criterion_05_family_wise_error_rate():
         planted=[],
         seed=555,
     )
-    config = AnalysisConfig(n_max=3, min_doc_frequency=10, alpha=0.05, scope="all")
+    config = AnalysisConfig(n_max=3, min_doc_frequency=10, alpha=0.05)
     start = time.perf_counter()
     metrics = evaluate_detector(spec, config, n_sims=200)
     elapsed = time.perf_counter() - start
@@ -298,10 +298,10 @@ def test_criterion_10_subsumption():
         planted=[PlantedTerm(("here", "we", "show", "that"), (0.02, 0.05, 0.5))],
         seed=10,
     )
-    from termassoc.pipeline import analyze_scope
+    from termassoc.pipeline import analyze_scope, clean_documents
     from termassoc.synth import generate_corpus
 
-    outcome = analyze_scope(generate_corpus(spec), "all", AnalysisConfig(scope="all"), [], 0)
+    outcome = analyze_scope(clean_documents(generate_corpus(spec), []), "all", AnalysisConfig(), 0)
     sig = {r.term for r in outcome.results if r.significant}
     emitted_terms = [r.term for r in outcome.report.rows]
     csv_text = render_csv(outcome.report)

@@ -192,20 +192,36 @@ def test_synth_missing_spec_no_partial_output(tmp_path, capsys):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 0.01, "top_k": 5, "seed": 9}))
-    args = build_parser().parse_args(["analyze", "--config", str(cfg_path), "--in", "x.jsonl", "--alpha", "0.2"])
+    cfg_path.write_text(json.dumps({"alpha": 0.01, "top_k": 5, "seed": 9, "min_abstract_chars": 300}))
+    args = build_parser().parse_args(["analyze", "--config", str(cfg_path), "--in", "x.jsonl", "--alpha", "0.2",
+                                      "--min-abstract-chars", "120"])
     cfg = PipelineConfig.load(str(cfg_path), args)
     assert cfg.alpha == 0.2      # flag wins
+    assert cfg.min_abstract_chars == 120
     assert cfg.top_k == 5        # file value survives
     assert cfg.seed == 9
 
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alhpa": 0.01}))
     args = build_parser().parse_args(["analyze", "--in", "x.jsonl"])
-    with pytest.raises(ValueError):
-        PipelineConfig.load(str(cfg_path), args)
+    for bad in ({"alhpa": 0.01}, {"alpha": "0.05"}, {"threads": "2"}, {"seed": True},
+                {"scopes": "all"}, {"scopes": ["all", 3]}, {"groups": "low"}, ["alpha"]):
+        cfg_path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError):
+            PipelineConfig.load(str(cfg_path), args)
+    cfg_path.write_text(json.dumps({"alpha": 1, "groups": None, "drop_missing_unit": False}))
+    cfg = PipelineConfig.load(str(cfg_path), args)   # an int is a valid float
+    assert cfg.alpha == 1 and cfg.groups is None and cfg.drop_missing_unit is False
+
+
+def test_cli_wrong_config_type_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": "0.05"}))
+    rc = run_cli("analyze", "--config", str(cfg_path), "--in", str(tmp_path / "x.jsonl"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_config_hash_ignores_threads_and_paths(tmp_path):

@@ -68,8 +68,6 @@ def test_parse_malformed_records_reported_with_line_numbers():
     parsed = parse_records(stream)
     assert [d.id for d in parsed.documents] == ["ok1", "ok2"]
     assert [lineno for lineno, _ in parsed.errors] == [2, 3, 4, 5]
-    with pytest.raises(ValueError):
-        parsed.raise_on_errors()
 
 
 def test_parse_doi_normalized():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from termassoc.corpus import default_group_scheme
-from termassoc.pipeline import analyze_scope
+from termassoc.pipeline import analyze_scope, clean_documents
 from termassoc.stats import AnalysisConfig
 from termassoc.synth import (
     PlantedTerm,
@@ -142,7 +142,7 @@ def test_planting_survives_thinning():
 # ------------------------------------------------------------ evaluate_detector
 
 def detector_config(**kw):
-    defaults = dict(n_max=3, min_doc_frequency=10, alpha=0.05, scope="all", seed=0)
+    defaults = dict(n_max=3, min_doc_frequency=10, alpha=0.05, seed=0)
     defaults.update(kw)
     return AnalysisConfig(**defaults)
 
@@ -189,12 +189,12 @@ def test_detector_invariant_to_document_shuffling():
         planted=[PlantedTerm(("zzalpha",), (0.05, 0.1, 0.5))],
         seed=13,
     )
-    docs = generate_corpus(spec)
+    docs = clean_documents(generate_corpus(spec), [])
     cfg = detector_config()
-    base = analyze_scope(docs, "all", cfg, rules=[], min_abstract_chars=0)
+    base = analyze_scope(docs, "all", cfg, min_abstract_chars=0)
     base_sig = {r.term for r in base.results if r.significant}
     shuffled = docs[:]
     random.Random(99).shuffle(shuffled)
-    again = analyze_scope(shuffled, "all", cfg, rules=[], min_abstract_chars=0)
+    again = analyze_scope(shuffled, "all", cfg, min_abstract_chars=0)
     assert {r.term for r in again.results if r.significant} == base_sig
     assert again.m == base.m and again.threshold == base.threshold

@@ -5,7 +5,6 @@ import pytest
 
 from termassoc.corpus import Document
 from termassoc.textproc import (
-    Term,
     extract_terms,
     iter_ngrams,
     split_sentences,
@@ -159,25 +158,6 @@ def test_extract_respects_nmax_length():
     terms = extract_terms(doc, 3).terms
     assert "one two three" in terms
     assert all(t.count(" ") <= 2 for t in terms)
-
-
-def test_term_rendered_round_trip():
-    term = Term(("here", "we", "show"))
-    assert term.rendered == "here we show"
-    assert Term.from_rendered(term.rendered) == term
-    with pytest.raises(ValueError):
-        Term(())
-
-
-def test_term_dump_round_trip(tmp_path):
-    from termassoc.textproc import DocTermSet, dump_term_sets, load_term_sets
-
-    sets = [DocTermSet("d1", {"b", "a", "a b"}), DocTermSet("d2", set())]
-    path = tmp_path / "terms.jsonl"
-    dump_term_sets(sets, path)
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"id": "d1", "terms": ["a", "a b", "b"]}
-    assert load_term_sets(path) == sets
 
 
 def test_fuzz_extraction_matches_bruteforce_per_unit():
