@@ -83,10 +83,11 @@ class Document:
 
     @property
     def identity(self) -> str:
-        """Article identity: DOI when present, else the title+journal key."""
+        """Article identity: DOI when present, else the title+journal key, else the id."""
         if self.doi:
             return "doi:" + self.doi
-        return "tj:" + title_journal_key(self.title, self.journal)
+        key = title_journal_key(self.title, self.journal)
+        return "tj:" + key if key else "id:" + self.id
 
     def to_record(self) -> dict:
         rec = {
@@ -120,12 +121,14 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     """Parse a JSON-lines record stream into Documents.
 
     Malformed records are collected as (line, diagnostic) pairs and parsing
-    continues; nothing is silently dropped. Records missing an abstract parse
+    continues; nothing is silently dropped. A repeated id is malformed: the
+    later record is reported and skipped. Records missing an abstract parse
     with empty text and a warning, so linkage statistics stay computable.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
     warnings: list[tuple[int, str]] = []
+    first_line: dict[str, int] = {}   # id -> line it first appeared on
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -142,6 +145,10 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
         if problem:
             errors.append((lineno, problem))
             continue
+        if raw["id"] in first_line:
+            errors.append((lineno, f"duplicate id {raw['id']!r} (first on line {first_line[raw['id']]})"))
+            continue
+        first_line[raw["id"]] = lineno
         if "abstract" not in raw:
             warnings.append((lineno, f"record {raw['id']!r} has no abstract; using empty text"))
         documents.append(
@@ -243,102 +250,53 @@ class LinkResult:
     suspicious: list[tuple[tuple[str, str], str]] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
-    def merge(self, other: "LinkResult") -> "LinkResult":
-        """Combine two stages; matches in `self` take precedence."""
-        matched_ids = {rid for rid, _, _ in self.matched}
-        matched = self.matched + [m for m in other.matched if m[0] not in matched_ids]
-        all_matched = {rid for rid, _, _ in matched}
-        unmatched = sorted((set(self.unmatched) | set(other.unmatched)) - all_matched)
-        return LinkResult(
-            matched=sorted(matched),
-            unmatched=unmatched,
-            suspicious=sorted(self.suspicious + other.suspicious),
-            diagnostics=self.diagnostics + other.diagnostics,
-        )
-
-
-@dataclass
-class MetadataIndex:
-    """Metadata records indexed by normalized DOI and by title+journal key."""
-
-    by_id: dict[str, Document]
-    by_doi: dict[str, list[str]]        # normalized doi -> sorted metadata ids
-    by_title_journal: dict[str, list[str]]
-
-    @classmethod
-    def build(cls, metadata: Iterable[Document]) -> "MetadataIndex":
-        by_id: dict[str, Document] = {}
-        by_doi: dict[str, list[str]] = {}
-        by_tj: dict[str, list[str]] = {}
-        for doc in metadata:
-            by_id[doc.id] = doc
-            if doc.doi:
-                by_doi.setdefault(doc.doi, []).append(doc.id)
-            key = title_journal_key(doc.title, doc.journal)
-            if key:
-                by_tj.setdefault(key, []).append(doc.id)
-        for ids in by_doi.values():
-            ids.sort()
-        for ids in by_tj.values():
-            ids.sort()
-        return cls(by_id, by_doi, by_tj)
-
-
-def link_by_doi(score_records: list[Document], index: MetadataIndex) -> LinkResult:
-    """Match score records to metadata on normalized DOI equality.
-
-    Duplicate DOIs in the metadata match the first id in sorted order, with a
-    diagnostic. Records without a DOI, or with an unknown one, stay unmatched.
-    """
-    result = LinkResult()
-    for rec in sorted(score_records, key=lambda d: d.id):
-        ids = index.by_doi.get(rec.doi) if rec.doi else None
-        if not ids:
-            result.unmatched.append(rec.id)
-            continue
-        if len(ids) > 1:
-            msg = f"doi {rec.doi!r} duplicated in metadata ({len(ids)} records); matched first by sorted id"
-            result.diagnostics.append(msg)
-            logger.warning(msg)
-        result.matched.append((rec.id, ids[0], "doi"))
-    return result
-
-
-def link_by_title_journal(unmatched: list[Document], index: MetadataIndex) -> LinkResult:
-    """Match remaining records on the lowercased, whitespace-free title+journal key.
-
-    Matches whose normalized title is shorter than 20 characters are flagged
-    suspicious for manual review. A key shared by several metadata records is a
-    collision: no match, diagnostic emitted.
-    """
-    result = LinkResult()
-    for rec in sorted(unmatched, key=lambda d: d.id):
-        key = title_journal_key(rec.title, rec.journal)
-        ids = index.by_title_journal.get(key) if key else None
-        if not ids:
-            result.unmatched.append(rec.id)
-            continue
-        if len(ids) > 1:
-            result.diagnostics.append(
-                f"title+journal key collision for record {rec.id!r}: metadata {ids}; no match"
-            )
-            result.unmatched.append(rec.id)
-            continue
-        pair = (rec.id, ids[0], "title_journal")
-        result.matched.append(pair)
-        title_chars = len(_squash(rec.title))
-        if title_chars < SUSPICIOUS_TITLE_CHARS:
-            result.suspicious.append(((rec.id, ids[0]), f"short title ({title_chars} chars)"))
-    return result
-
 
 def link_records(score_records: list[Document], metadata: list[Document]) -> LinkResult:
-    """Two-stage linkage: DOI first, then title+journal on the remainder."""
-    index = MetadataIndex.build(metadata)
-    by_doi = link_by_doi(score_records, index)
-    still_unmatched = [r for r in score_records if r.id in set(by_doi.unmatched)]
-    by_tj = link_by_title_journal(still_unmatched, index)
-    return by_doi.merge(by_tj)
+    """Two-stage linkage: DOI first, then title+journal for records the DOI misses.
+
+    A DOI is matched after normalization; one shared by several metadata
+    records matches the first id in sorted order, with a diagnostic. A record
+    whose DOI is missing or unknown falls through to the lowercased,
+    whitespace-free title+journal key. A key shared by several metadata records
+    is a collision: no match, diagnostic emitted. Title+journal matches whose
+    normalized title is shorter than 20 characters are flagged suspicious for
+    manual review. Empty keys never match. DOI diagnostics precede title+journal
+    ones, each in record-id order.
+    """
+    # Empty keys are never stored, so a record with one finds nothing.
+    by_doi: dict[str, list[str]] = {}   # normalized doi -> sorted metadata ids
+    by_tj: dict[str, list[str]] = {}    # title+journal key -> sorted metadata ids
+    for doc in sorted(metadata, key=lambda d: d.id):
+        if doc.doi:
+            by_doi.setdefault(doc.doi, []).append(doc.id)
+        key = title_journal_key(doc.title, doc.journal)
+        if key:
+            by_tj.setdefault(key, []).append(doc.id)
+
+    result = LinkResult()
+    tj_diagnostics = []
+    for rec in sorted(score_records, key=lambda d: d.id):
+        ids = by_doi.get(rec.doi)
+        if ids:
+            if len(ids) > 1:
+                msg = f"doi {rec.doi!r} duplicated in metadata ({len(ids)} records); matched first by sorted id"
+                result.diagnostics.append(msg)
+                logger.warning(msg)
+            result.matched.append((rec.id, ids[0], "doi"))
+            continue
+        ids = by_tj.get(title_journal_key(rec.title, rec.journal))
+        if not ids:
+            result.unmatched.append(rec.id)
+        elif len(ids) > 1:
+            tj_diagnostics.append(f"title+journal key collision for record {rec.id!r}: metadata {ids}; no match")
+            result.unmatched.append(rec.id)
+        else:
+            result.matched.append((rec.id, ids[0], "title_journal"))
+            title_chars = len(_squash(rec.title))
+            if title_chars < SUSPICIOUS_TITLE_CHARS:
+                result.suspicious.append(((rec.id, ids[0]), f"short title ({title_chars} chars)"))
+    result.diagnostics += tj_diagnostics
+    return result
 
 
 def merge_linked(score_records: list[Document], metadata: list[Document], link: LinkResult) -> list[Document]:

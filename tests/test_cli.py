@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import termassoc
 from termassoc.cli import PipelineConfig, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,6 +85,30 @@ def test_link_empty_metadata_all_unmatched(tmp_path, capsys):
     metadata.write_text("")
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "o")) == 0
     assert "1 unmatched" in capsys.readouterr().out
+
+
+def test_link_duplicate_score_id_keeps_first_record(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    metadata = tmp_path / "m.jsonl"
+    scores.write_text(
+        jsonl(
+            {"id": "r1", "doi": "10.1/a", "unit": "1", "score": 4},
+            {"id": "r1", "doi": "10.1/b", "unit": "2", "score": 1},
+        )
+    )
+    metadata.write_text(
+        jsonl(
+            {"id": "m1", "doi": "10.1/a", "abstract": "Abstract A."},
+            {"id": "m2", "doi": "10.1/b", "abstract": "Abstract B."},
+        )
+    )
+    out = tmp_path / "o"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    assert "1 malformed record(s) skipped" in capsys.readouterr().err
+    merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
+    assert [(d["id"], d["doi"], d["unit"], d["score"], d["abstract"]) for d in merged] == [
+        ("r1", "10.1/a", "1", 4, "Abstract A.")
+    ]
 
 
 def test_missing_input_file_nonzero_exit(tmp_path, capsys):
@@ -238,9 +264,10 @@ def test_config_hash_ignores_threads_and_paths(tmp_path):
 
 
 def test_console_entry_point_smoke():
+    src = Path(termassoc.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "termassoc.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "link" in proc.stdout and "synth" in proc.stdout

@@ -1,20 +1,19 @@
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from termassoc import corpus
 from termassoc.corpus import (
     Document,
     GroupScheme,
-    MetadataIndex,
     PipelineOrderError,
     dedup_within_unit,
     default_group_scheme,
     drop_unclassified,
     filter_documents,
-    link_by_doi,
-    link_by_title_journal,
     link_records,
     merge_linked,
     parse_records,
@@ -64,10 +63,13 @@ def test_parse_malformed_records_reported_with_line_numbers():
         json.dumps({"id": "bad-score", "score": 7, "abstract": ""}),
         json.dumps(["not", "an", "object"]),
         json.dumps({"id": "ok2", "abstract": ""}),
+        json.dumps({"id": "ok1", "abstract": "a second record with the first id"}),
     ]
     parsed = parse_records(stream)
     assert [d.id for d in parsed.documents] == ["ok1", "ok2"]
-    assert [lineno for lineno, _ in parsed.errors] == [2, 3, 4, 5]
+    assert [lineno for lineno, _ in parsed.errors] == [2, 3, 4, 5, 7]
+    assert parsed.errors[-1] == (7, "duplicate id 'ok1' (first on line 1)")
+    assert parsed.documents[0].abstract_raw == ""
 
 
 def test_parse_doi_normalized():
@@ -101,41 +103,37 @@ def rec(id, doi=None, title="", journal="", score=3, unit="3"):
 
 
 def test_link_by_doi_normalizes():
-    index = MetadataIndex.build([meta("m1", doi="10.1000/abc")])
-    result = link_by_doi([rec("r1", doi="10.1000/ABC ")], index)
+    result = link_records([rec("r1", doi="10.1000/ABC ")], [meta("m1", doi="10.1000/abc")])
     assert result.matched == [("r1", "m1", "doi")]
 
 
 def test_link_by_doi_missing_doi_unmatched():
-    index = MetadataIndex.build([meta("m1", doi="10.1/x")])
-    result = link_by_doi([rec("r1")], index)
+    result = link_records([rec("r1")], [meta("m1", doi="10.1/x")])
     assert result.unmatched == ["r1"]
 
 
 def test_link_by_doi_counts():
-    index = MetadataIndex.build([meta("m1", doi="10.1/a"), meta("m2", doi="10.1/b")])
+    metadata = [meta("m1", doi="10.1/a"), meta("m2", doi="10.1/b")]
     records = [rec("r1", doi="10.1/a"), rec("r2", doi="10.1/b"), rec("r3", doi="10.1/zzz")]
-    result = link_by_doi(records, index)
+    result = link_records(records, metadata)
     assert len(result.matched) == 2 and result.unmatched == ["r3"]
 
 
 def test_link_by_doi_duplicate_metadata_takes_first_sorted_id():
-    index = MetadataIndex.build([meta("m9", doi="10.1/a"), meta("m2", doi="10.1/a")])
-    result = link_by_doi([rec("r1", doi="10.1/a")], index)
+    result = link_records([rec("r1", doi="10.1/a")], [meta("m9", doi="10.1/a"), meta("m2", doi="10.1/a")])
     assert result.matched == [("r1", "m2", "doi")]
     assert result.diagnostics
 
 
 def test_link_title_journal_normalization():
-    index = MetadataIndex.build([meta("m1", title="a study of xx and y plus z.", journal="TheLancet")])
-    result = link_by_title_journal([rec("r1", title="A Study of XX and Y plus Z.", journal="The Lancet")], index)
+    metadata = [meta("m1", title="a study of xx and y plus z.", journal="TheLancet")]
+    result = link_records([rec("r1", title="A Study of XX and Y plus Z.", journal="The Lancet")], metadata)
     assert result.matched == [("r1", "m1", "title_journal")]
     assert result.suspicious == []  # normalized title is exactly 20 chars
 
 
 def test_link_title_journal_short_title_suspicious():
-    index = MetadataIndex.build([meta("m1", title="Comment", journal="BMJ")])
-    result = link_by_title_journal([rec("r1", title="Comment", journal="BMJ")], index)
+    result = link_records([rec("r1", title="Comment", journal="BMJ")], [meta("m1", title="Comment", journal="BMJ")])
     assert result.matched == [("r1", "m1", "title_journal")]
     assert len(result.suspicious) == 1
     (pair, reason) = result.suspicious[0]
@@ -143,17 +141,17 @@ def test_link_title_journal_short_title_suspicious():
 
 
 def test_link_title_journal_requires_same_journal():
-    index = MetadataIndex.build([meta("m1", title="Same Title Here Okay", journal="Journal A")])
-    result = link_by_title_journal([rec("r1", title="Same Title Here Okay", journal="Journal B")], index)
+    metadata = [meta("m1", title="Same Title Here Okay", journal="Journal A")]
+    result = link_records([rec("r1", title="Same Title Here Okay", journal="Journal B")], metadata)
     assert result.matched == [] and result.unmatched == ["r1"]
 
 
 def test_link_title_journal_collision_no_match():
-    index = MetadataIndex.build([
+    metadata = [
         meta("m1", title="An Ambiguous Title Here", journal="J"),
         meta("m2", title="An Ambiguous  Title Here", journal="J"),  # same key after despacing
-    ])
-    result = link_by_title_journal([rec("r1", title="An Ambiguous Title Here", journal="J")], index)
+    ]
+    result = link_records([rec("r1", title="An Ambiguous Title Here", journal="J")], metadata)
     assert result.matched == [] and result.unmatched == ["r1"]
     assert any("collision" in d for d in result.diagnostics)
 
@@ -186,6 +184,47 @@ def test_merge_linked_combines_fields():
     (doc,) = merge_linked(records, metadata, link)
     assert doc.id == "r1" and doc.score == 4 and doc.unit == "5"
     assert doc.abstract_raw == "Real abstract." and doc.title == "Title"
+
+
+def test_link_records_linear_in_title_journal_matches():
+    n = 20_000
+    metadata = [meta(f"m{k:05d}", title=f"A long enough title for article {k}", journal="J") for k in range(n)]
+    records = [rec(f"r{k:05d}", title=f"A long enough title for article {k}", journal="J") for k in range(n)]
+    start = time.perf_counter()
+    result = link_records(records, metadata)
+    elapsed = time.perf_counter() - start
+    assert len(result.matched) == n and not result.unmatched
+    assert elapsed < 5.0
+
+
+# Small pools make DOI matches, duplicate DOIs, title+journal matches, short
+# titles, key collisions and unmatched records all common.
+DOIS = st.sampled_from([None, "10.1/a", "10.1/b", "10.1/c"])
+TITLES = st.sampled_from(["", "Short", "A reasonably long title one", "A reasonably long title two"])
+JOURNALS = st.sampled_from(["", "J", "K"])
+
+
+@st.composite
+def linkage_inputs(draw):
+    records = [
+        rec(f"r{k:02d}", doi=draw(DOIS), title=draw(TITLES), journal=draw(JOURNALS),
+            score=draw(st.integers(1, 4)), unit=draw(st.sampled_from(["1", "7"])))
+        for k in range(draw(st.integers(0, 12)))
+    ]
+    metadata = [
+        meta(f"m{k:02d}", doi=draw(DOIS), title=draw(TITLES), journal=draw(JOURNALS), abstract=f"abstract {k}")
+        for k in range(draw(st.integers(0, 12)))
+    ]
+    return records, metadata, draw(st.permutations(records)), draw(st.permutations(metadata))
+
+
+@given(linkage_inputs())
+def test_link_and_merge_independent_of_input_order(inputs):
+    records, metadata, shuffled_records, shuffled_metadata = inputs
+    link = link_records(records, metadata)
+    shuffled_link = link_records(shuffled_records, shuffled_metadata)
+    assert shuffled_link == link
+    assert merge_linked(shuffled_records, shuffled_metadata, shuffled_link) == merge_linked(records, metadata, link)
 
 
 # ---------------------------------------------------------------------- dedup
@@ -273,6 +312,9 @@ def test_dedup_identity_falls_back_to_title_journal():
     ]
     out = dedup_within_unit(docs, "unit", seed=0)
     assert len(out) == 1
+    # no DOI, title or journal: nothing identifies the article but its id
+    blank = [Document(id="r1", unit="1", score=2), Document(id="r2", unit="1", score=3)]
+    assert [d.id for d in dedup_within_unit(blank, "unit", seed=0)] == ["r1", "r2"]
 
 
 # --------------------------------------------------------------------- filter
