@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import cleanse, corpus, pipeline, synth
 from .report import emit_report, parse_jsonl
@@ -49,10 +49,13 @@ class PipelineConfig:
     threads: int = 1                       # read by nothing: scopes run one at a time
     groups: Optional[list] = None          # GroupScheme.to_config() entries
     drop_missing_unit: bool = True
+    # Set by load: whether the config file or --seed named a seed, 0 included.
+    seed_given: ClassVar[bool] = False
 
     @classmethod
     def load(cls, path: Optional[str], args: argparse.Namespace) -> "PipelineConfig":
         cfg = cls()
+        seed_given = getattr(args, "seed", None) is not None
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -66,6 +69,7 @@ class PipelineConfig:
                 if not _matches_type(value, hints[key]):
                     raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
             cfg = dataclasses.replace(cfg, **raw)
+            seed_given = seed_given or "seed" in raw
         for name in ("scores", "metadata", "rules", "output_dir", "seed", "alpha",
                      "min_df", "top_k", "min_abstract_chars", "threads"):
             value = getattr(args, name, None)
@@ -75,6 +79,7 @@ class PipelineConfig:
             cfg.n_max = args.nmax
         if getattr(args, "scopes", None) is not None:
             cfg.scopes = [s.strip() for s in args.scopes.split(",") if s.strip()]
+        cfg.seed_given = seed_given
         return cfg
 
     def group_scheme(self) -> corpus.GroupScheme:
@@ -274,7 +279,7 @@ def run_synth(cfg: PipelineConfig, spec_path: str, sims: int, corpus_out: Option
             spec = synth.SyntheticSpec.from_config(json.load(fh))
     except OSError as exc:
         raise FileNotFoundError(f"cannot read synthetic spec {spec_path!r}: {exc}") from exc
-    if cfg.seed:
+    if cfg.seed_given:
         spec = dataclasses.replace(spec, seed=cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

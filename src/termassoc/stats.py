@@ -12,6 +12,7 @@ dependency beyond the standard library.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -222,6 +223,12 @@ def build_tables(
     min_df documents overall are dropped; the size of the returned map is the
     Bonferroni divisor m. Raises on an empty corpus or an empty group, both of
     which make the test degenerate.
+
+    Terms are counted level by level: all unigrams first, then each n-gram
+    only at the unit positions where both of its (n-1)-gram sub-phrases
+    reached min_df. This is exact because a document holding an n-gram holds
+    both sub-phrases in the same unit, so an n-gram is never in more
+    documents than either of them (the Apriori property).
     """
     term_sets = list(term_sets)
     if not term_sets:
@@ -236,21 +243,40 @@ def build_tables(
         if size == 0:
             raise ValueError(f"group {idx} is empty; the test is degenerate")
 
-    counts: dict[str, list[int]] = {}
-    for ts in term_sets:
-        g = group_of[ts.doc_id]
-        for term in ts.terms:
-            row = counts.get(term)
-            if row is None:
-                row = counts[term] = [0] * n_groups
-            row[g] += 1
-
     sizes = tuple(group_sizes)
-    return {
-        term: ContingencyTable(sizes, tuple(row))
-        for term, row in counts.items()
-        if sum(row) >= min_df
-    }
+    tables: dict[str, ContingencyTable] = {}
+    # Per document: (group, n_max, [(tokens, grams)]), where grams[i] is the
+    # n-gram starting at token i, or None where a sub-phrase fell below min_df.
+    level = [(group_of[ts.doc_id], ts.n_max, [(u, u) for u in ts.units]) for ts in term_sets]
+    n = 1
+    while level:
+        counts = [Counter() for _ in range(n_groups)]
+        doc_freq = Counter()
+        for g, _, units in level:
+            present = {gram for _, grams in units for gram in grams}
+            present.discard(None)
+            counts[g].update(present)
+            doc_freq.update(present)
+        kept = {gram for gram, df in doc_freq.items() if df >= min_df}
+        if not kept:
+            break
+        for gram in kept:
+            tables[gram] = ContingencyTable(sizes, tuple(c[gram] for c in counts))
+        next_level = []
+        for g, n_max, units in level:
+            if n_max <= n:
+                continue
+            longer = []
+            for tokens, grams in units:
+                grams = [gram if gram in kept else None for gram in grams]
+                grams = [a + " " + t if a and b else None for a, b, t in zip(grams, grams[1:], tokens[n:])]
+                if any(grams):
+                    longer.append((tokens, grams))
+            if longer:
+                next_level.append((g, n_max, longer))
+        level = next_level
+        n += 1
+    return tables
 
 
 def compute_term_results(

@@ -9,7 +9,7 @@ sets: a term counts once per document no matter how often it occurs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .corpus import Document
@@ -81,8 +81,19 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
 
 @dataclass
 class DocTermSet:
+    """A document's non-empty token units: title, abstract sentences, keywords."""
+
     doc_id: str
-    terms: set[str] = field(default_factory=set)
+    units: list[list[str]]
+    n_max: int
+
+    @property
+    def terms(self) -> set[str]:
+        """The presence set: every n-gram of length 1..n_max in any unit, once."""
+        terms: set[str] = set()
+        for tokens in self.units:
+            terms.update(iter_ngrams(tokens, self.n_max))
+        return terms
 
 
 def iter_ngrams(tokens: list[str], n_max: int) -> Iterator[str]:
@@ -97,17 +108,10 @@ def iter_ngrams(tokens: list[str], n_max: int) -> Iterator[str]:
 
 
 def extract_terms(doc: Document, n_max: int = 5, abbreviations=DEFAULT_ABBREVIATIONS) -> DocTermSet:
-    """Union of all n-grams from the title, abstract sentences and keywords."""
+    """Token units of the title, abstract sentences and keywords; empty units dropped."""
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
-    terms: set[str] = set()
-    units = [doc.title]
-    units.extend(split_sentences(doc.abstract_clean, abbreviations))
-    units.extend(doc.keywords)
-    for unit in units:
-        tokens = tokenize(unit)
-        if tokens:
-            terms.update(iter_ngrams(tokens, n_max))
-    return DocTermSet(doc.id, terms)
+    units = [doc.title, *split_sentences(doc.abstract_clean, abbreviations), *doc.keywords]
+    return DocTermSet(doc.id, [tokens for tokens in map(tokenize, units) if tokens], n_max)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from termassoc.cleanse import CleaningRule, RuleConfigError, clean_abstract, default_rules, load_rules
 
@@ -53,6 +54,18 @@ def test_cleaning_never_increases_length():
     for _ in range(200):
         text = " ".join(rng.choice(pieces) for _ in range(rng.randint(1, 4)))
         assert len(clean_abstract(text, rules)) <= len(text)
+
+
+# Free text mixed with fragments that trigger every default rule.
+BOILERPLATE = st.sampled_from([
+    "©", " Copyright © 2020 ", "Crown Copyright", "All rights reserved.", "Background:", " Methods : ",
+    "This is an open access article", "This article is licensed under CC-BY.", ". ", "\n", "\t  ",
+])
+
+
+@given(st.lists(st.one_of(st.text(), BOILERPLATE)).map("".join))
+def test_cleaning_never_lengthens_random_text(text):
+    assert len(clean_abstract(text, default_rules())) <= len(text)
 
 
 def test_cleaning_idempotent_on_fixture_corpus():

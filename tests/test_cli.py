@@ -209,6 +209,21 @@ def test_synth_corpus_out_round_trips_through_pipeline(tmp_path, capsys):
     assert "zzalpha zzbeta" in report
 
 
+def test_synth_seed_zero_overrides_spec_seed(tmp_path, capsys):
+    # The spec's own seed is 3. A seed given by flag or config file wins, 0 included.
+    config = tmp_path / "seed0.json"
+    config.write_text(json.dumps({"seed": 0}))
+    runs = {"spec": [], "flag 0": ["--seed", "0"], "file 0": ["--config", str(config)], "flag 3": ["--seed", "3"]}
+    scores = {}
+    for name, extra in runs.items():
+        corpus_dir = tmp_path / name.replace(" ", "")
+        rc = run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "1", "--min-df", "5",
+                     "--out", str(tmp_path / "out"), "--corpus-out", str(corpus_dir), *extra)
+        assert rc == 0
+        scores[name] = (corpus_dir / "scores.jsonl").read_bytes()
+    assert scores["flag 0"] == scores["file 0"] != scores["flag 3"] == scores["spec"]
+
+
 def test_synth_missing_spec_no_partial_output(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("synth", "--spec", str(tmp_path / "missing.json"), "--sims", "2", "--out", str(out))

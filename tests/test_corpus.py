@@ -293,6 +293,22 @@ def test_dedup_output_canonical_and_order_independent():
         assert again == baseline
 
 
+@st.composite
+def dedup_inputs(draw):
+    docs = [
+        Document(id=f"r{k:02d}", doi=draw(DOIS), title=draw(TITLES), journal=draw(JOURNALS),
+                 unit=draw(st.sampled_from(["1", "2", "7"])), score=draw(st.sampled_from([None, 1, 2, 3, 4])))
+        for k in range(draw(st.integers(0, 12)))
+    ]
+    return docs, draw(st.permutations(docs)), draw(st.sampled_from(["unit", "panel", "all"])), draw(st.integers(0, 9))
+
+
+@given(dedup_inputs())
+def test_dedup_independent_of_input_order(inputs):
+    docs, shuffled, scope, seed = inputs
+    assert dedup_within_unit(shuffled, scope, seed) == dedup_within_unit(docs, scope, seed)
+
+
 def test_dedup_scope_panel_vs_unit():
     # same article in two units of one panel: kept per unit, merged per panel
     docs = [

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import scipy.special
+import scipy.stats
+from hypothesis import assume, given, strategies as st
 
 from termassoc.stats import (
     AnalysisConfig,
@@ -15,7 +17,7 @@ from termassoc.stats import (
     compute_term_results,
     direction,
 )
-from termassoc.textproc import DocTermSet
+from termassoc.textproc import DocTermSet, iter_ngrams
 
 
 def chi_square_exact(group_sizes, present):
@@ -79,6 +81,16 @@ def test_chi_square_matches_exact_oracle():
         got = chi_square(table)
         want = float(chi_square_exact(table.group_sizes, table.present))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@given(st.lists(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+                min_size=2, max_size=6))
+def test_chi_square_matches_scipy(cells):
+    table = ContingencyTable(tuple(n for n, _ in cells), tuple(k for _, k in cells))
+    assume(0 < table.total_present < sum(table.group_sizes))
+    observed = [[k, n - k] for n, k in cells]
+    want = scipy.stats.chi2_contingency(observed, correction=False)[0]
+    assert chi_square(table) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_chi_square_group_permutation_invariant():
@@ -205,7 +217,7 @@ def test_direction_tie_breaks_low():
 # ---------------------------------------------------------------- build_tables
 
 def _sets(*pairs):
-    return [DocTermSet(doc_id, set(terms)) for doc_id, terms in pairs]
+    return [DocTermSet(doc_id, [[t] for t in terms], 1) for doc_id, terms in pairs]
 
 
 def test_build_tables_counts_documents_not_occurrences():
@@ -246,7 +258,7 @@ def test_build_tables_errors():
 def test_build_tables_shard_merge_independent_of_order():
     rng = random.Random(1)
     term_sets = [
-        DocTermSet(f"d{i}", {f"t{rng.randint(0, 20)}" for _ in range(rng.randint(0, 8))})
+        DocTermSet(f"d{i}", [[f"t{rng.randint(0, 20)}"] for _ in range(rng.randint(0, 8))], 1)
         for i in range(200)
     ]
     groups = {f"d{i}": i % 3 for i in range(200)}
@@ -257,12 +269,57 @@ def test_build_tables_shard_merge_independent_of_order():
     assert a == b
 
 
+def build_tables_oracle(term_sets, group_of, n_groups, min_df):
+    """Brute force: every n-gram of every document, counted once per document, then the cut."""
+    sizes = [0] * n_groups
+    counts = {}
+    for ts in term_sets:
+        g = group_of[ts.doc_id]
+        sizes[g] += 1
+        present = set()
+        for tokens in ts.units:
+            present.update(iter_ngrams(tokens, ts.n_max))
+        for term in present:
+            counts.setdefault(term, [0] * n_groups)[g] += 1
+    return {
+        term: ContingencyTable(tuple(sizes), tuple(row))
+        for term, row in counts.items()
+        if sum(row) >= min_df
+    }
+
+
+# A four-token vocabulary repeats grams within and across documents.
+UNITS = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12), max_size=4)
+
+
+@st.composite
+def tabulation_inputs(draw):
+    n_max = draw(st.integers(1, 8))
+    n_docs = draw(st.integers(3, 14))
+    term_sets = [DocTermSet(f"d{i}", draw(UNITS), n_max) for i in range(n_docs)]
+    group_of = {ts.doc_id: i if i < 3 else draw(st.integers(0, 2)) for i, ts in enumerate(term_sets)}
+    # Either any floor up to one past the corpus size, or exactly the document
+    # frequency of some gram, so sub-phrase counts land on min_df.
+    dfs = sorted({sum(t.present) for t in build_tables_oracle(term_sets, group_of, 3, 1).values()})
+    floors = st.integers(1, n_docs + 1)
+    min_df = draw(st.one_of(floors, st.sampled_from(dfs)) if dfs else floors)
+    return term_sets, group_of, min_df, draw(st.permutations(term_sets))
+
+
+@given(tabulation_inputs())
+def test_build_tables_matches_brute_force_oracle(inputs):
+    term_sets, group_of, min_df, shuffled = inputs
+    want = build_tables_oracle(term_sets, group_of, 3, min_df)
+    assert build_tables(term_sets, group_of, 3, min_df) == want
+    assert build_tables(shuffled, group_of, 3, min_df) == want
+
+
 # --------------------------------------------------------- compute_term_results
 
 def test_compute_results_significance_flag_equivalence():
     rng = random.Random(2024)
     term_sets = [
-        DocTermSet(f"d{i}", {f"t{rng.randint(0, 30)}" for _ in range(rng.randint(1, 10))})
+        DocTermSet(f"d{i}", [[f"t{rng.randint(0, 30)}"] for _ in range(rng.randint(1, 10))], 1)
         for i in range(300)
     ]
     groups = {f"d{i}": i % 3 for i in range(300)}
