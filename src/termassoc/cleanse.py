@@ -24,8 +24,6 @@ from importlib import resources
 
 RULE_KINDS = ("prefix_strip", "suffix_strip", "pattern_delete", "heading_strip")
 
-_WS_RE = re.compile(r"\s+")
-
 
 class RuleConfigError(ValueError):
     """A cleaning rule failed validation at load time."""
@@ -74,7 +72,7 @@ def clean_abstract(text: str, rules: list[CleaningRule]) -> str:
     for rule in rules:
         if rule.enabled:
             text = rule.apply(text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def load_rules(source) -> list[CleaningRule]:

@@ -225,7 +225,7 @@ def run_clean(cfg: PipelineConfig, in_path: str) -> list[corpus.Document]:
     return cleaned
 
 
-def run_analyze(cfg: PipelineConfig, docs: list[corpus.Document]) -> dict:
+def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus.Document]) -> dict:
     if cfg.drop_missing_unit:
         docs, dropped = corpus.drop_unclassified(docs)
         if dropped:
@@ -236,7 +236,7 @@ def run_analyze(cfg: PipelineConfig, docs: list[corpus.Document]) -> dict:
     outcomes = pipeline.analyze_scopes(
         docs,
         scopes,
-        cfg.analysis_config(),
+        analysis,
         cfg.load_rules(),
         cfg.min_abstract_chars,
     )
@@ -273,7 +273,8 @@ def run_analyze(cfg: PipelineConfig, docs: list[corpus.Document]) -> dict:
     return manifest
 
 
-def run_synth(cfg: PipelineConfig, spec_path: str, sims: int, corpus_out: Optional[str]) -> dict:
+def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sims: int,
+              corpus_out: Optional[str]) -> dict:
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:
             spec = synth.SyntheticSpec.from_config(json.load(fh))
@@ -287,11 +288,11 @@ def run_synth(cfg: PipelineConfig, spec_path: str, sims: int, corpus_out: Option
     if corpus_out:
         corpus_dir = Path(corpus_out)
         corpus_dir.mkdir(parents=True, exist_ok=True)
-        docs = synth.generate_corpus(spec, cfg.group_scheme())
+        docs = synth.generate_corpus(spec, analysis.group_scheme)
         write_corpus_files(docs, corpus_dir)
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
-    metrics = synth.evaluate_detector(spec, cfg.analysis_config(), sims)
+    metrics = synth.evaluate_detector(spec, analysis, sims)
     _write_atomic(out / "metrics.json", json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n")
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
@@ -415,6 +416,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
+        if args.command in ("analyze", "synth", "pipeline"):
+            analysis = cfg.analysis_config()   # reject bad analysis values before any stage writes
         if args.command == "link":
             run_link(cfg)
         elif args.command == "dedup":
@@ -422,14 +425,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "clean":
             run_clean(cfg, args.in_path)
         elif args.command == "analyze":
-            run_analyze(cfg, _read_documents(args.in_path, "corpus"))
+            run_analyze(cfg, analysis, _read_documents(args.in_path, "corpus"))
         elif args.command == "report":
             run_report(args.in_path, args.format, args.out_file)
         elif args.command == "synth":
-            run_synth(cfg, args.spec, args.sims, args.corpus_out)
+            run_synth(cfg, analysis, args.spec, args.sims, args.corpus_out)
         elif args.command == "pipeline":
             _, merged = run_link(cfg)
-            run_analyze(cfg, merged)
+            run_analyze(cfg, analysis, merged)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -159,7 +159,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 journal=raw.get("journal", ""),
                 abstract_raw=raw.get("abstract", "") or "",
                 abstract_clean=raw.get("abstract_clean"),
-                keywords=[str(k) for k in raw.get("keywords", [])],
+                keywords=list(raw.get("keywords") or []),
                 unit=str(raw.get("unit", "") or ""),
                 panel=str(raw.get("panel", "") or ""),
                 score=raw.get("score"),
@@ -181,9 +181,9 @@ def _validate_record(raw: dict) -> Optional[str]:
             return f"field 'score' must be an integer, got {score!r}"
         if score not in VALID_SCORES:
             return f"field 'score' must be in {list(VALID_SCORES)}, got {score}"
-    kw = raw.get("keywords", [])
-    if kw is not None and not isinstance(kw, list):
-        return "field 'keywords' must be a list"
+    kw = raw.get("keywords")
+    if kw is not None and not (isinstance(kw, list) and all(isinstance(k, str) for k in kw)):
+        return "field 'keywords' must be a list of strings"
     return None
 
 
@@ -233,7 +233,16 @@ class GroupScheme:
 
     @classmethod
     def from_config(cls, entries) -> "GroupScheme":
-        return cls([(str(label), frozenset(int(s) for s in scores)) for label, scores in entries])
+        """Build a scheme from the [[label, [score, ...]], ...] shape to_config writes."""
+        for entry in entries:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and isinstance(entry[1], list)
+                and all(type(s) is int for s in entry[1])
+            ):
+                raise ValueError(f"group {entry!r} must be a [label, [score, ...]] pair")
+        return cls(entries)
 
 
 def default_group_scheme() -> GroupScheme:

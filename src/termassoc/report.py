@@ -173,25 +173,30 @@ def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
     """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row)."""
     rows = []
     scope = m = threshold = illustrative = labels = None
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
-        scope, m, threshold = obj["scope"], obj["m"], obj["threshold"]
-        illustrative = obj["illustrative"]
-        labels = list(obj["proportions"].keys())
-        rows.append(
-            ReportRow(
-                term=obj["term"],
-                n=obj["n"],
-                chi2=obj["chi2"],
-                p_value=obj["p_value"],
-                significant=obj["significant"],
-                direction=obj["direction"],
-                proportions=obj["proportions"],
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {lineno}: a report row must be a JSON object")
+        try:
+            scope, m, threshold = obj["scope"], obj["m"], obj["threshold"]
+            illustrative = obj["illustrative"]
+            labels = list(obj["proportions"].keys())
+            rows.append(
+                ReportRow(
+                    term=obj["term"],
+                    n=obj["n"],
+                    chi2=obj["chi2"],
+                    p_value=obj["p_value"],
+                    significant=obj["significant"],
+                    direction=obj["direction"],
+                    proportions=obj["proportions"],
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: report row has no {exc.args[0]!r} field") from None
     if scope is None:
         raise ValueError("cannot rebuild a report from an empty JSON-lines stream")
     return ScopeReport(scope, m, threshold, labels, rows, illustrative)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .corpus import GroupScheme, default_group_scheme
-from .textproc import DocTermSet
+from .textproc import N_MAX_LIMIT, DocTermSet
 
 _MAX_ITER = 500
 _EPS = 1e-16
@@ -203,6 +203,8 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {self.n_max}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.top_k < 1:

@@ -23,6 +23,7 @@ from .textproc import tokenize
 
 _TITLE_TOKENS = 3
 _KEYWORD_COUNT = 2
+_REQUIRED_SPEC_KEYS = ("group_sizes", "vocab_size", "sentences_per_doc", "tokens_per_sentence")
 
 
 @dataclass
@@ -93,6 +94,11 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, obj: dict) -> "SyntheticSpec":
+        if not isinstance(obj, dict):
+            raise ValueError("a synthetic spec must be a JSON object")
+        missing = [key for key in _REQUIRED_SPEC_KEYS if key not in obj]
+        if missing:
+            raise ValueError(f"synthetic spec is missing required key(s): {', '.join(missing)}")
         return cls(
             group_sizes=tuple(obj["group_sizes"]),
             vocab_size=int(obj["vocab_size"]),

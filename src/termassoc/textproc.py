@@ -4,6 +4,11 @@ A term is 1..n_max consecutive lowercase tokens from a single textual unit;
 units are the title, each abstract sentence, and each keyword string, so no
 phrase ever spans a sentence or field boundary. Documents contribute presence
 sets: a term counts once per document no matter how often it occurs.
+
+The splitting and tokenizing rules are those stated in `split_sentences` and
+`tokenize`. The splitter tests only the '.', '!' or '?' that one regex scan
+finds followed by whitespace; the tests check it against a character-by-character
+reference implementation of the same rule.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "Fig.", "et al.", "approx.", "vs.", "Dr
 # hyphens or apostrophes; underscores and everything else separate.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 
-_TERMINATORS = ".!?"
+# A candidate sentence boundary: a terminator followed by whitespace.
+_CANDIDATE_RE = re.compile(r"[.!?]\s+")
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -30,49 +36,32 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence.lower())
 
 
-def _ends_with_abbreviation(text: str, dot_index: int, abbreviations) -> bool:
-    for abbr in abbreviations:
-        n = len(abbr)
-        start = dot_index + 1 - n
-        if start < 0:
-            continue
-        if text[start : dot_index + 1].lower() != abbr.lower():
-            continue
-        if start == 0 or not text[start - 1].isalnum():
-            return True
-    return False
-
-
 def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
     """Split cleaned text into sentences.
 
     A boundary is '.', '!' or '?' followed by whitespace and an uppercase
-    letter or digit, unless the terminator closes a listed abbreviation.
+    letter or digit, unless the terminator is a '.' closing a listed
+    abbreviation: as many characters as the abbreviation has, ending at
+    the '.', equal it once both are lowercased, and the character before them,
+    if any, is not alphanumeric.
     """
+    abbrs = [(len(abbr), abbr.lower()) for abbr in abbreviations]
     sentences = []
     start = 0
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i] in _TERMINATORS:
-            j = i + 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            boundary = (
-                k > j
-                and k < n
-                and (text[k].isupper() or text[k].isdigit())
-                and not (text[i] == "." and _ends_with_abbreviation(text, i, abbreviations))
-            )
-            if boundary:
-                piece = text[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = k
-                i = k
-                continue
-        i += 1
+    for m in _CANDIDATE_RE.finditer(text):
+        k = m.end()
+        if k == len(text) or not (text[k].isupper() or text[k].isdigit()):
+            continue
+        end = m.start() + 1
+        if text[end - 1] == "." and any(
+            n <= end and text[end - n : end].lower() == low and (n == end or not text[end - n - 1].isalnum())
+            for n, low in abbrs
+        ):
+            continue
+        piece = text[start:end].strip()
+        if piece:
+            sentences.append(piece)
+        start = k
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

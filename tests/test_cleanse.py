@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,15 @@ def test_all_rules_disabled_equals_whitespace_normalization():
     rules = [CleaningRule(r.kind, r.pattern, enabled=False) for r in default_rules()]
     for text in FIXTURE_ABSTRACTS:
         assert clean_abstract(text, rules) == " ".join(text.split())
+
+
+# Every whitespace code point; U+3000 is the last.
+WHITESPACE = st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()])
+
+
+@given(st.lists(st.one_of(st.text(max_size=4), WHITESPACE)).map("".join))
+def test_no_rules_equals_regex_whitespace_collapse(text):
+    assert clean_abstract(text, []) == re.sub(r"\s+", " ", text).strip()
 
 
 def test_rules_apply_in_declared_order():

@@ -111,6 +111,81 @@ def test_link_duplicate_score_id_keeps_first_record(tmp_path, capsys):
     ]
 
 
+def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    metadata = tmp_path / "m.jsonl"
+    scores.write_text(jsonl({"id": "r1", "doi": "10.1/a", "unit": "1", "score": 4}))
+    metadata.write_text(jsonl({"id": "m1", "doi": "10.1/a", "abstract": "Abstract A.", "keywords": None}))
+    out = tmp_path / "o"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    assert "malformed" not in capsys.readouterr().err
+    merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
+    assert [(d["id"], d["keywords"]) for d in merged] == [("r1", [])]
+
+
+def test_link_non_string_keywords_are_a_malformed_record(tmp_path, capsys, caplog):
+    scores = tmp_path / "s.jsonl"
+    metadata = tmp_path / "m.jsonl"
+    scores.write_text(jsonl({"id": "r1", "doi": "10.1/a", "unit": "1", "score": 4}))
+    metadata.write_text(
+        jsonl(
+            {"id": "m0", "doi": "10.1/z", "abstract": "Other.", "keywords": ["fine"]},
+            {"id": "m1", "doi": "10.1/a", "abstract": "Abstract A.", "keywords": [1, None, {"a": 1}]},
+        )
+    )
+    out = tmp_path / "o"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    assert f"1 malformed record(s) skipped in {metadata}" in capsys.readouterr().err
+    assert f"{metadata}:2: field 'keywords' must be a list of strings" in caplog.text
+    merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
+    assert merged == []
+    assert "r1,,none,false," in (out / "link_report.csv").read_text()
+
+
+def test_pipeline_nmax_out_of_range_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out), "--nmax", "9")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "n_max" in err
+    assert list(out.iterdir()) == []
+
+
+def test_config_groups_of_wrong_shape_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"groups": [1, 2]}))
+    rc = run_cli("pipeline", "--config", str(cfg_path), "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "group 1" in err
+
+
+def test_report_row_without_scope_is_an_error(tmp_path, capsys):
+    row = {"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": "alpha", "n": 4,
+           "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
+           "proportions": {"low": 0.1, "4": 0.5}}
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(row, {k: v for k, v in row.items() if k != "scope"}))
+    rc = run_cli("report", "--in", str(in_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: line 2: ") and "'scope'" in err
+
+
+def test_synth_spec_missing_required_key_is_an_error(tmp_path, capsys):
+    spec = json.loads((FIXTURES / "synth_spec.json").read_text())
+    for key in ("vocab_size", "group_sizes"):
+        spec_path = tmp_path / f"no_{key}.json"
+        spec_path.write_text(json.dumps({k: v for k, v in spec.items() if k != key}))
+        rc = run_cli("synth", "--spec", str(spec_path), "--sims", "1", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and key in err
+
+
 def test_missing_input_file_nonzero_exit(tmp_path, capsys):
     rc = run_cli("link", "--scores", str(tmp_path / "nope.jsonl"),
                  "--metadata", str(tmp_path / "also-nope.jsonl"), "--out", str(tmp_path / "o"))
@@ -166,6 +241,19 @@ def test_stage_subcommands_chain(tmp_path):
     assert not any("©" in d["abstract_clean"] for d in docs)
     assert run_cli("analyze", "--in", str(cleaned), "--out", str(out)) == 0
     assert (out / "manifest.json").exists()
+
+
+def test_stage_subcommands_ignore_analysis_values(tmp_path):
+    # link, dedup and clean read no analysis value, so a bad one does not stop them.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_max": 9, "min_df": 0, "groups": [1, 2]}))
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", str(cfg_path), "--scores", str(FIXTURES / "scores.jsonl"),
+                   "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out)) == 0
+    assert run_cli("dedup", "--config", str(cfg_path), "--in", str(out / "merged.jsonl"),
+                   "--scope", "unit", "--out", str(out)) == 0
+    assert run_cli("clean", "--in", str(out / "deduped.jsonl"), "--out", str(out), "--min-df", "0") == 0
+    assert (out / "cleaned.jsonl").exists()
 
 
 def test_report_rerender(tmp_path, capsys):
@@ -251,6 +339,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         cfg_path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             PipelineConfig.load(str(cfg_path), args)
+    # Values of the right JSON type are checked when the analysis config is built;
+    # a grade is an integer, as a record's score is, so "3" and 3.0 are rejected.
+    for bad in ({"groups": [1, 2]}, {"groups": [["low", [1, 2]], ["high", ["3", "4"]]]},
+                {"groups": [["low", [1, 2]], ["high", [3.0, 4]]]}, {"n_max": 0}, {"n_max": 9}):
+        cfg_path.write_text(json.dumps(bad))
+        cfg = PipelineConfig.load(str(cfg_path), args)
+        with pytest.raises(ValueError):
+            cfg.analysis_config()
     cfg_path.write_text(json.dumps({"alpha": 1, "groups": None, "drop_missing_unit": False}))
     cfg = PipelineConfig.load(str(cfg_path), args)   # an int is a valid float
     assert cfg.alpha == 1 and cfg.groups is None and cfg.drop_missing_unit is False

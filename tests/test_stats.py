@@ -343,6 +343,9 @@ def test_compute_results_empty():
 
 
 def test_analysis_config_validation():
+    for n_max in (0, 9):
+        with pytest.raises(ValueError):
+            AnalysisConfig(n_max=n_max)
     with pytest.raises(ValueError):
         AnalysisConfig(alpha=0.0)
     with pytest.raises(ValueError):

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termassoc.corpus import Document
 from termassoc.textproc import (
+    DEFAULT_ABBREVIATIONS,
     extract_terms,
     iter_ngrams,
     split_sentences,
@@ -40,6 +42,8 @@ def test_split_custom_abbreviations():
     text = "Proc. Of the conference."
     assert split_sentences(text, abbreviations=()) == ["Proc.", "Of the conference."]
     assert split_sentences(text, abbreviations=("Proc.",)) == ["Proc. Of the conference."]
+    # The abbreviation covers as many code points as it has, though "İ" lowercases to two.
+    assert split_sentences("Sent İ. Next", abbreviations=("İ.",)) == ["Sent İ. Next"]
 
 
 def test_split_empty_and_terminators():
@@ -78,6 +82,76 @@ def test_tokenize_separators():
     assert tokenize("a_b c/d e.f") == ["a", "b", "c", "d", "e", "f"]
     assert tokenize("") == []
     assert tokenize("!!!") == []
+
+
+# ------------------------------------------- reference (character-walking) splitter
+
+def reference_ends_with_abbreviation(text, dot_index, abbreviations):
+    for abbr in abbreviations:
+        n = len(abbr)
+        start = dot_index + 1 - n
+        if start < 0:
+            continue
+        if text[start : dot_index + 1].lower() != abbr.lower():
+            continue
+        if start == 0 or not text[start - 1].isalnum():
+            return True
+    return False
+
+
+def reference_split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    sentences = []
+    start = 0
+    n = len(text)
+    i = 0
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            boundary = (
+                k > j
+                and k < n
+                and (text[k].isupper() or text[k].isdigit())
+                and not (text[i] == "." and reference_ends_with_abbreviation(text, i, abbreviations))
+            )
+            if boundary:
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(piece)
+                start = k
+                i = k
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Every whitespace code point (U+3000 is the last), and plain spaces.
+WHITESPACE = [" ", *(chr(c) for c in range(0x3001) if chr(c).isspace())]
+# Edge characters: titlecase ǅ is not isupper(), Arabic-Indic ٣ and superscript
+# ² are digits, ½ and Ⅷ are numeric but not digits, İ lowercases to two code
+# points, and _ - ' ’ are not alphanumeric.
+FRAGMENTS = [
+    *DEFAULT_ABBREVIATIONS, "E.G.", "ET AL.", "fig.", "no.", "İ.", "İ", "Proc.", "x.",
+    ".", "!", "?", "...", ". A", "! B", "? 7", ". ǅ", ". ٣", ". ²", ".\u2003½", "!\n\nZ", "? Ⅷ",
+    "ǅ", "٣", "²", "½", "Ⅷ", "_", "-", "'", "’", "A", "a", "Z", "q", "7", "ß",
+    "word", "Word", "WORD", "tok00042", "p53", "double-blind", "crohn’s", "don't", "naïve", "é", "(",
+]
+TEXT = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.sampled_from(WHITESPACE)), max_size=30).map("".join)
+ABBREVIATIONS = st.one_of(
+    st.just(DEFAULT_ABBREVIATIONS),
+    st.lists(st.sampled_from(["İ.", "i̇.", "Proc.", "x.", "ǅ.", "a", "", "e.g.", "Et Al."]), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=600)
+@given(TEXT, ABBREVIATIONS)
+def test_split_sentences_matches_character_walk(text, abbreviations):
+    assert split_sentences(text, abbreviations) == reference_split_sentences(text, abbreviations)
 
 
 # ----------------------------------------------------------------- iter_ngrams
