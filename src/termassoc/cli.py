@@ -70,15 +70,8 @@ class PipelineConfig:
                     raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
             cfg = dataclasses.replace(cfg, **raw)
             seed_given = seed_given or "seed" in raw
-        for name in ("scores", "metadata", "rules", "output_dir", "seed", "alpha",
-                     "min_df", "top_k", "min_abstract_chars", "threads"):
-            value = getattr(args, name, None)
-            if value is not None:
-                cfg = dataclasses.replace(cfg, **{name: value})
-        if getattr(args, "nmax", None) is not None:
-            cfg.n_max = args.nmax
-        if getattr(args, "scopes", None) is not None:
-            cfg.scopes = [s.strip() for s in args.scopes.split(",") if s.strip()]
+        flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+        cfg = dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
         cfg.seed_given = seed_given
         return cfg
 
@@ -134,6 +127,10 @@ def _matches_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _write_atomic(path: Path, text: str):
@@ -292,7 +289,7 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sim
         write_corpus_files(docs, corpus_dir)
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
-    metrics = synth.evaluate_detector(spec, analysis, sims)
+    metrics = synth.evaluate_detector(spec, analysis, sims, cfg.load_rules())
     _write_atomic(out / "metrics.json", json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n")
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
@@ -300,43 +297,20 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sim
 
 
 def write_corpus_files(docs: list[corpus.Document], directory: Path):
-    """Split full documents into the scores-file and metadata-file shapes."""
-    with open(directory / "scores.jsonl", "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": d.id,
-                        "doi": d.doi,
-                        "title": d.title,
-                        "journal": d.journal,
-                        "unit": d.unit,
-                        "panel": d.panel,
-                        "score": d.score,
-                        "submitter": d.submitter,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(directory / "metadata.jsonl", "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": "m-" + d.id,
-                        "doi": d.doi,
-                        "title": d.title,
-                        "journal": d.journal,
-                        "abstract": d.abstract_raw,
-                        "keywords": d.keywords,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    """Split full documents into the scores-file and metadata-file shapes.
+
+    A scores record is the document's record without its text; a metadata
+    record is its identity fields and text under the id "m-<id>".
+    """
+    scores, metadata = [], []
+    for d in docs:
+        rec = d.to_record()
+        text = {key: rec.pop(key) for key in ("abstract", "keywords")}
+        meta = {"id": "m-" + d.id, "doi": rec["doi"], "title": rec["title"], "journal": rec["journal"], **text}
+        scores.append(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        metadata.append(json.dumps(meta, ensure_ascii=False, sort_keys=True) + "\n")
+    (directory / "scores.jsonl").write_text("".join(scores), encoding="utf-8")
+    (directory / "metadata.jsonl").write_text("".join(metadata), encoding="utf-8")
 
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
@@ -360,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--scopes", help="comma list: units, panels, all, unit:<u>, panel:<p>")
-        p.add_argument("--nmax", type=int, help="maximum phrase length in tokens")
+        p.add_argument("--scopes", type=_comma_list, help="comma list: units, panels, all, unit:<u>, panel:<p>")
+        p.add_argument("--nmax", dest="n_max", type=int, help="maximum phrase length in tokens")
         p.add_argument("--alpha", type=float, help="family significance level")
         p.add_argument("--top-k", dest="top_k", type=int, help="terms per report")
         p.add_argument("--min-df", dest="min_df", type=int, help="minimum documents per term")

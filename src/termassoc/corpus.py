@@ -390,7 +390,6 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
 @dataclass
 class FilterResult:
     documents: list[Document]
-    retention_by_unit: dict[str, tuple[int, int]]  # unit -> (seen, kept)
 
 
 def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> FilterResult:
@@ -401,19 +400,15 @@ def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> Fil
     Cleaning must already have run: a missing abstract_clean is an ordering
     error, not a removable document.
     """
-    retention: dict[str, tuple[int, int]] = {}
     kept = []
     for doc in docs:
         if doc.abstract_clean is None:
             raise PipelineOrderError(
                 f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering"
             )
-        seen, retained = retention.get(doc.unit, (0, 0))
-        keep = doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars
-        retention[doc.unit] = (seen + 1, retained + (1 if keep else 0))
-        if keep:
+        if doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars:
             kept.append(doc)
-    return FilterResult(kept, retention)
+    return FilterResult(kept)
 
 
 def drop_unclassified(docs: list[Document]) -> tuple[list[Document], int]:

@@ -95,22 +95,18 @@ def analyze_scope(
         return ScopeOutcome(scope, skipped="no documents after filtering")
 
     scheme = config.group_scheme
-    group_of: dict[str, int] = {}
-    for doc in filtered.documents:
-        idx = scheme.group_index(doc.score)
-        if idx is None:
-            return ScopeOutcome(scope, skipped=f"document {doc.id!r} has ungrouped score {doc.score}")
-        group_of[doc.id] = idx
+    groups = [scheme.group_index(doc.score) for doc in filtered.documents]
+    if None in groups:
+        doc = filtered.documents[groups.index(None)]
+        return ScopeOutcome(scope, skipped=f"document {doc.id!r} has ungrouped score {doc.score}")
 
-    sizes = [0] * len(scheme.groups)
-    for idx in group_of.values():
-        sizes[idx] += 1
-    if any(size == 0 for size in sizes):
-        empty = [scheme.labels[i] for i, s in enumerate(sizes) if s == 0]
+    sizes = [groups.count(idx) for idx in range(len(scheme.groups))]
+    if 0 in sizes:
+        empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
         return ScopeOutcome(scope, skipped=f"empty group(s) {empty}", group_sizes=sizes)
 
     term_sets = [extract_terms(doc, config.n_max) for doc in filtered.documents]
-    tables = build_tables(term_sets, group_of, len(scheme.groups), config.min_doc_frequency)
+    tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
     results, m, threshold = compute_term_results(tables, scheme.labels, config.alpha)
     report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)
     return ScopeOutcome(scope, report, results, m, threshold, sizes)

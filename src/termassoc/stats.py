@@ -215,16 +215,18 @@ class AnalysisConfig:
 
 def build_tables(
     term_sets: Iterable[DocTermSet],
-    group_of: Mapping[str, int],
+    groups: Iterable[int],
     n_groups: int,
     min_df: int = 10,
 ) -> dict[str, ContingencyTable]:
     """Count, per term, the documents containing it in each group.
 
-    Documents contribute presence, not occurrences. Terms seen in fewer than
-    min_df documents overall are dropped; the size of the returned map is the
-    Bonferroni divisor m. Raises on an empty corpus or an empty group, both of
-    which make the test degenerate.
+    groups holds each document's group index, aligned with term_sets; the
+    two must be the same length. Documents contribute presence, not
+    occurrences. Terms seen in fewer than min_df documents overall are
+    dropped; the size of the returned map is the Bonferroni divisor m.
+    Raises on an empty corpus or an empty group, both of which make the test
+    degenerate.
 
     Terms are counted level by level: all unigrams first, then each n-gram
     only at the unit positions where both of its (n-1)-gram sub-phrases
@@ -232,14 +234,13 @@ def build_tables(
     both sub-phrases in the same unit, so an n-gram is never in more
     documents than either of them (the Apriori property).
     """
-    term_sets = list(term_sets)
-    if not term_sets:
+    pairs = list(zip(term_sets, groups, strict=True))
+    if not pairs:
         raise ValueError("empty corpus: nothing to tabulate")
     group_sizes = [0] * n_groups
-    for ts in term_sets:
-        g = group_of[ts.doc_id]
+    for pos, (_, g) in enumerate(pairs):
         if not 0 <= g < n_groups:
-            raise ValueError(f"document {ts.doc_id!r} assigned to invalid group {g}")
+            raise ValueError(f"document at position {pos} assigned to invalid group {g}")
         group_sizes[g] += 1
     for idx, size in enumerate(group_sizes):
         if size == 0:
@@ -249,7 +250,7 @@ def build_tables(
     tables: dict[str, ContingencyTable] = {}
     # Per document: (group, n_max, [(tokens, grams)]), where grams[i] is the
     # n-gram starting at token i, or None where a sub-phrase fell below min_df.
-    level = [(group_of[ts.doc_id], ts.n_max, [(u, u) for u in ts.units]) for ts in term_sets]
+    level = [(g, ts.n_max, [(u, u) for u in ts.units]) for ts, g in pairs]
     n = 1
     while level:
         counts = [Counter() for _ in range(n_groups)]

@@ -72,7 +72,6 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
 class DocTermSet:
     """A document's non-empty token units: title, abstract sentences, keywords."""
 
-    doc_id: str
     units: list[list[str]]
     n_max: int
 
@@ -96,11 +95,11 @@ def iter_ngrams(tokens: list[str], n_max: int) -> Iterator[str]:
             yield gram
 
 
-def extract_terms(doc: Document, n_max: int = 5, abbreviations=DEFAULT_ABBREVIATIONS) -> DocTermSet:
+def extract_terms(doc: Document, n_max: int = 5) -> DocTermSet:
     """Token units of the title, abstract sentences and keywords; empty units dropped."""
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
-    units = [doc.title, *split_sentences(doc.abstract_clean, abbreviations), *doc.keywords]
-    return DocTermSet(doc.id, [tokens for tokens in map(tokenize, units) if tokens], n_max)
+    units = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
+    return DocTermSet([tokens for tokens in map(tokenize, units) if tokens], n_max)

@@ -312,6 +312,18 @@ def test_synth_seed_zero_overrides_spec_seed(tmp_path, capsys):
     assert scores["flag 0"] == scores["file 0"] != scores["flag 3"] == scores["spec"]
 
 
+def test_synth_honours_rules(tmp_path, capsys):
+    # A rule that deletes the planted phrase leaves nothing to recall.
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"kind": "pattern_delete", "pattern": "(?i)zzalpha zzbeta"}]))
+    out = tmp_path / "out"
+    rc = run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "1", "--min-df", "5",
+                 "--out", str(out), "--rules", str(rules))
+    assert rc == 0
+    assert json.loads((out / "metrics.json").read_text())["recall"] == 0.0
+    assert "recall=0.000" in capsys.readouterr().out
+
+
 def test_synth_missing_spec_no_partial_output(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("synth", "--spec", str(tmp_path / "missing.json"), "--sims", "2", "--out", str(out))
@@ -321,12 +333,15 @@ def test_synth_missing_spec_no_partial_output(tmp_path, capsys):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 0.01, "top_k": 5, "seed": 9, "min_abstract_chars": 300}))
+    cfg_path.write_text(json.dumps({"alpha": 0.01, "top_k": 5, "seed": 9, "min_abstract_chars": 300,
+                                    "n_max": 4, "scopes": ["all"]}))
     args = build_parser().parse_args(["analyze", "--config", str(cfg_path), "--in", "x.jsonl", "--alpha", "0.2",
-                                      "--min-abstract-chars", "120"])
+                                      "--min-abstract-chars", "120", "--nmax", "2", "--scopes", " unit:3, ,panels"])
     cfg = PipelineConfig.load(str(cfg_path), args)
     assert cfg.alpha == 0.2      # flag wins
     assert cfg.min_abstract_chars == 120
+    assert cfg.n_max == 2
+    assert cfg.scopes == ["unit:3", "panels"]
     assert cfg.top_k == 5        # file value survives
     assert cfg.seed == 9
 

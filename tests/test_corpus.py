@@ -360,8 +360,6 @@ def test_filter_idempotent_and_counts():
     first = filter_documents(docs, 500)
     second = filter_documents(first.documents, 500)
     assert second.documents == first.documents
-    assert sum(seen for seen, _ in first.retention_by_unit.values()) == 8
-    assert sum(kept for _, kept in first.retention_by_unit.values()) == len(first.documents)
 
 
 def test_filter_counts_unicode_scalars():

@@ -1,7 +1,10 @@
 from collections import Counter
 
+from hypothesis import given, strategies as st
+
 import termassoc.pipeline as pipeline
 from termassoc.corpus import Document
+from termassoc.report import emit_report
 from termassoc.stats import AnalysisConfig
 
 CONFIG = AnalysisConfig(n_max=2, min_doc_frequency=1)
@@ -46,3 +49,57 @@ def test_each_document_is_cleaned_once_across_scopes(monkeypatch):
     outcomes = pipeline.analyze_scopes(docs, ["unit:1", "panel:A", "all"], CONFIG, [], 0)
     assert not any(outcome.skipped for outcome in outcomes.values())
     assert Counter(cleaned) == Counter(d.abstract_raw for d in docs)
+
+
+def test_group_sizes_count_documents_not_ids():
+    same_id = [Document(id="same", doi=f"10.1/{score}", abstract_raw="Shared words.", unit="1", score=score)
+               for score in (1, 3, 4)]
+    outcome = pipeline.analyze_scopes(same_id, ["unit:1"], CONFIG, [], 0)["unit:1"]
+    assert outcome.group_sizes == [1, 1, 1]
+
+    outcome = pipeline.analyze_scopes(two_units_sharing_an_id(), ["all"], CONFIG, [], 0)["all"]
+    assert outcome.results
+    assert all(r.table.group_sizes == tuple(outcome.group_sizes) == (2, 2, 2) for r in outcome.results)
+
+
+SENTENCE = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=6).map(
+    lambda words: " ".join(words).capitalize() + "."
+)
+ABSTRACT = st.lists(SENTENCE, min_size=1, max_size=4).map(" ".join)
+MIN_ABSTRACT_CHARS = 20
+
+
+@st.composite
+def scope_inputs(draw):
+    """Documents in two units and a permutation of them.
+
+    Three anchor documents, one per score group, keep every group non-empty.
+    The rest share a small pool of articles, odd ones identified by DOI and
+    even ones by title and journal, so submissions repeat; their grades
+    include 0 and their abstracts are often shorter than the filter's floor.
+    """
+    docs = [
+        Document(id=f"a{g}", doi=f"10.9/anchor{g}", abstract_raw=draw(ABSTRACT) + " Delta gamma beta alpha.",
+                 unit="1", score=score)
+        for g, score in enumerate((1, 3, 4))
+    ]
+    for k in range(draw(st.integers(0, 12))):
+        article = draw(st.integers(0, 5))
+        identity = {"doi": f"10.1/art{article}"} if article % 2 else {"title": f"Article {article}", "journal": "J"}
+        docs.append(Document(id=f"d{k:02d}", abstract_raw=draw(ABSTRACT), unit=draw(st.sampled_from(["1", "2"])),
+                             score=draw(st.integers(0, 4)), **identity))
+    return docs, draw(st.permutations(docs))
+
+
+def scope_facts(docs, scope):
+    config = AnalysisConfig(n_max=3, min_doc_frequency=2)
+    outcome = pipeline.analyze_scope(pipeline.clean_documents(docs, []), scope, config, MIN_ABSTRACT_CHARS)
+    reports = [emit_report(outcome.report, fmt) for fmt in ("csv", "jsonl", "text")]
+    return reports, outcome.group_sizes, outcome.m, outcome.threshold
+
+
+@given(scope_inputs())
+def test_scope_outcome_independent_of_document_order(inputs):
+    docs, shuffled = inputs
+    for scope in ("unit:1", "all"):
+        assert scope_facts(shuffled, scope) == scope_facts(docs, scope)

@@ -216,14 +216,14 @@ def test_direction_tie_breaks_low():
 
 # ---------------------------------------------------------------- build_tables
 
-def _sets(*pairs):
-    return [DocTermSet(doc_id, [[t] for t in terms], 1) for doc_id, terms in pairs]
+def _sets(*term_lists):
+    return [DocTermSet([[t] for t in terms], 1) for terms in term_lists]
 
 
 def test_build_tables_counts_documents_not_occurrences():
     # a document contributes at most 1 per term by construction of DocTermSet
-    term_sets = _sets(("a", {"x"}), ("b", {"x"}), ("c", {"x", "y"}), ("d", {"y"}), ("e", set()))
-    groups = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}
+    term_sets = _sets({"x"}, {"x"}, {"x", "y"}, {"y"}, set())
+    groups = [0, 0, 1, 1, 1]
     tables = build_tables(term_sets, groups, 2, min_df=1)
     assert tables["x"].group_sizes == (2, 3)
     assert tables["x"].present == (2, 1)
@@ -231,8 +231,8 @@ def test_build_tables_counts_documents_not_occurrences():
 
 
 def test_build_tables_min_df_excludes_rare_terms():
-    term_sets = _sets(("a", {"rare"}), ("b", {"common"}), ("c", {"common"}), ("d", {"common"}))
-    groups = {"a": 0, "b": 0, "c": 1, "d": 1}
+    term_sets = _sets({"rare"}, {"common"}, {"common"}, {"common"})
+    groups = [0, 0, 1, 1]
     tables = build_tables(term_sets, groups, 2, min_df=3)
     assert "rare" not in tables
     assert "common" in tables
@@ -240,8 +240,8 @@ def test_build_tables_min_df_excludes_rare_terms():
 
 
 def test_build_tables_two_groups_example():
-    term_sets = _sets(("a", {"t"}), ("b", set()), ("c", {"t"}), ("d", {"t"}), ("e", set()))
-    groups = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}
+    term_sets = _sets({"t"}, set(), {"t"}, {"t"}, set())
+    groups = [0, 0, 1, 1, 1]
     tables = build_tables(term_sets, groups, 2, min_df=1)
     assert tables["t"].group_sizes == (2, 3)
     assert tables["t"].present == (1, 2)
@@ -249,32 +249,38 @@ def test_build_tables_two_groups_example():
 
 def test_build_tables_errors():
     with pytest.raises(ValueError):
-        build_tables([], {}, 2, min_df=1)
+        build_tables([], [], 2, min_df=1)
     with pytest.raises(ValueError):
         # group 1 empty
-        build_tables(_sets(("a", {"x"})), {"a": 0}, 2, min_df=1)
+        build_tables(_sets({"x"}), [0], 2, min_df=1)
+    with pytest.raises(ValueError, match="position 1"):
+        build_tables(_sets({"x"}, {"x"}), [0, 2], 2, min_df=1)
+    with pytest.raises(ValueError):
+        # one group index per term set
+        build_tables(_sets({"x"}, {"x"}), [0, 1, 1], 2, min_df=1)
+    with pytest.raises(ValueError):
+        build_tables(_sets({"x"}, {"x"}), [0], 2, min_df=1)
 
 
 def test_build_tables_shard_merge_independent_of_order():
     rng = random.Random(1)
     term_sets = [
-        DocTermSet(f"d{i}", [[f"t{rng.randint(0, 20)}"] for _ in range(rng.randint(0, 8))], 1)
+        DocTermSet([[f"t{rng.randint(0, 20)}"] for _ in range(rng.randint(0, 8))], 1)
         for i in range(200)
     ]
-    groups = {f"d{i}": i % 3 for i in range(200)}
+    groups = [i % 3 for i in range(200)]
     a = build_tables(term_sets, groups, 3, min_df=2)
-    shuffled = term_sets[:]
+    shuffled = list(zip(term_sets, groups))
     rng.shuffle(shuffled)
-    b = build_tables(shuffled, groups, 3, min_df=2)
+    b = build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df=2)
     assert a == b
 
 
-def build_tables_oracle(term_sets, group_of, n_groups, min_df):
+def build_tables_oracle(term_sets, groups, n_groups, min_df):
     """Brute force: every n-gram of every document, counted once per document, then the cut."""
     sizes = [0] * n_groups
     counts = {}
-    for ts in term_sets:
-        g = group_of[ts.doc_id]
+    for ts, g in zip(term_sets, groups):
         sizes[g] += 1
         present = set()
         for tokens in ts.units:
@@ -296,22 +302,22 @@ UNITS = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max
 def tabulation_inputs(draw):
     n_max = draw(st.integers(1, 8))
     n_docs = draw(st.integers(3, 14))
-    term_sets = [DocTermSet(f"d{i}", draw(UNITS), n_max) for i in range(n_docs)]
-    group_of = {ts.doc_id: i if i < 3 else draw(st.integers(0, 2)) for i, ts in enumerate(term_sets)}
+    term_sets = [DocTermSet(draw(UNITS), n_max) for _ in range(n_docs)]
+    groups = [i if i < 3 else draw(st.integers(0, 2)) for i in range(n_docs)]
     # Either any floor up to one past the corpus size, or exactly the document
     # frequency of some gram, so sub-phrase counts land on min_df.
-    dfs = sorted({sum(t.present) for t in build_tables_oracle(term_sets, group_of, 3, 1).values()})
+    dfs = sorted({sum(t.present) for t in build_tables_oracle(term_sets, groups, 3, 1).values()})
     floors = st.integers(1, n_docs + 1)
     min_df = draw(st.one_of(floors, st.sampled_from(dfs)) if dfs else floors)
-    return term_sets, group_of, min_df, draw(st.permutations(term_sets))
+    return term_sets, groups, min_df, draw(st.permutations(list(zip(term_sets, groups))))
 
 
 @given(tabulation_inputs())
 def test_build_tables_matches_brute_force_oracle(inputs):
-    term_sets, group_of, min_df, shuffled = inputs
-    want = build_tables_oracle(term_sets, group_of, 3, min_df)
-    assert build_tables(term_sets, group_of, 3, min_df) == want
-    assert build_tables(shuffled, group_of, 3, min_df) == want
+    term_sets, groups, min_df, shuffled = inputs
+    want = build_tables_oracle(term_sets, groups, 3, min_df)
+    assert build_tables(term_sets, groups, 3, min_df) == want
+    assert build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df) == want
 
 
 # --------------------------------------------------------- compute_term_results
@@ -319,10 +325,10 @@ def test_build_tables_matches_brute_force_oracle(inputs):
 def test_compute_results_significance_flag_equivalence():
     rng = random.Random(2024)
     term_sets = [
-        DocTermSet(f"d{i}", [[f"t{rng.randint(0, 30)}"] for _ in range(rng.randint(1, 10))], 1)
+        DocTermSet([[f"t{rng.randint(0, 30)}"] for _ in range(rng.randint(1, 10))], 1)
         for i in range(300)
     ]
-    groups = {f"d{i}": i % 3 for i in range(300)}
+    groups = [i % 3 for i in range(300)]
     tables = build_tables(term_sets, groups, 3, min_df=5)
     results, m, threshold = compute_term_results(tables, ["low", "3", "4"], alpha=0.05)
     assert m == len(tables) > 0
