@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+from .corpus import check_json
+
 RULE_KINDS = ("prefix_strip", "suffix_strip", "pattern_delete", "heading_strip")
 
 
@@ -78,8 +80,9 @@ def clean_abstract(text: str, rules: list[CleaningRule]) -> str:
 def load_rules(source) -> list[CleaningRule]:
     """Load rules from a JSON file path or an already-parsed list of dicts.
 
-    Each entry is {"kind": ..., "pattern": ..., "enabled": ...}; enabled
-    defaults to true. Invalid entries raise RuleConfigError immediately.
+    Each entry is an object {"kind": str, "pattern": str, "enabled": bool};
+    enabled defaults to true. A malformed or invalid entry raises
+    RuleConfigError naming it.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -88,18 +91,8 @@ def load_rules(source) -> list[CleaningRule]:
         entries = source
     if not isinstance(entries, list):
         raise RuleConfigError("rule file must contain a JSON list of rule objects")
-    rules = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "kind" not in entry or "pattern" not in entry:
-            raise RuleConfigError(f"rule {i}: each rule needs 'kind' and 'pattern'")
-        rules.append(
-            CleaningRule(
-                kind=entry["kind"],
-                pattern=entry["pattern"],
-                enabled=bool(entry.get("enabled", True)),
-            )
-        )
-    return rules
+    return [CleaningRule(**check_json(entry, CleaningRule, f"rule {i}", RuleConfigError))
+            for i, entry in enumerate(entries, start=1)]
 
 
 def default_rules() -> list[CleaningRule]:

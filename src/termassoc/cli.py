@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional
 
 from . import cleanse, corpus, pipeline, synth
 from .report import emit_report, parse_jsonl
@@ -58,16 +58,7 @@ class PipelineConfig:
         seed_given = getattr(args, "seed", None) is not None
         if path:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError(f"config file {path!r} must hold a JSON object")
-            unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            hints = get_type_hints(cls)
-            for key, value in raw.items():
-                if not _matches_type(value, hints[key]):
-                    raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+                raw = corpus.check_json(json.load(fh), cls, f"config {path}")
             cfg = dataclasses.replace(cfg, **raw)
             seed_given = seed_given or "seed" in raw
         flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
@@ -115,18 +106,6 @@ class PipelineConfig:
         }
         blob = json.dumps(semantic, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
-
-
-def _matches_type(value, hint) -> bool:
-    """Whether a JSON config value fits an annotation; ints pass as floats, bools only as bools."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_matches_type(value, arg) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_matches_type(v, arg) for v in value for arg in args)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _comma_list(text: str) -> list[str]:
@@ -271,7 +250,7 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus
 
 
 def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sims: int,
-              corpus_out: Optional[str]) -> dict:
+              corpus_out: Optional[str]) -> synth.DetectorMetrics:
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:
             spec = synth.SyntheticSpec.from_config(json.load(fh))
@@ -290,10 +269,10 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sim
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
     metrics = synth.evaluate_detector(spec, analysis, sims, cfg.load_rules())
-    _write_atomic(out / "metrics.json", json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "metrics.json", json.dumps(dataclasses.asdict(metrics), indent=2, sort_keys=True) + "\n")
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
-    return metrics.to_json_dict()
+    return metrics
 
 
 def write_corpus_files(docs: list[corpus.Document], directory: Path):
@@ -390,8 +369,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
+        # Reject bad analysis values and scope specifiers before any stage writes.
         if args.command in ("analyze", "synth", "pipeline"):
-            analysis = cfg.analysis_config()   # reject bad analysis values before any stage writes
+            analysis = cfg.analysis_config()
+        if args.command in ("analyze", "pipeline"):
+            pipeline.check_scopes(cfg.scopes)
         if args.command == "link":
             run_link(cfg)
         elif args.command == "dedup":

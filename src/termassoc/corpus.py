@@ -13,8 +13,9 @@ import hashlib
 import json
 import logging
 import random
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 logger = logging.getLogger(__name__)
 
@@ -198,6 +199,58 @@ def write_jsonl(path, docs: Iterable[Document]):
             fh.write(json.dumps(doc.to_record(), ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _matches_type(value, hint) -> bool:
+    """Whether a parsed JSON value fits an annotation; ints pass as floats, bools only as bools.
+
+    A JSON array fits list[X] and tuple[...], an object fits dict[str, X],
+    and a dataclass fits any object (its loader checks the fields).
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_matches_type(value, arg) for arg in args)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_matches_type, value, args))
+    if origin in (list, tuple):
+        return isinstance(value, list) and all(_matches_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_matches_type(v, args[1]) for v in value.values())
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max   # JSON allows integers no float can hold
+    return isinstance(value, hint)
+
+
+def check_json(value, hint, what: str, error: type[ValueError] = ValueError):
+    """Return a parsed JSON value unchanged if it fits hint, else raise error naming what.
+
+    Nothing is coerced: "12" is not 12 and "false" is not false. A dataclass
+    hint means a JSON object holding its fields: an unknown key, a missing
+    key whose field has no default, or a value of the wrong type is an error
+    naming the key.
+    """
+    if not dataclasses.is_dataclass(hint):
+        if not _matches_type(value, hint):
+            raise error(f"{what} has the wrong type: {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {value!r}")
+    fields = {f.name: f for f in dataclasses.fields(hint)}
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise error(f"{what} has unknown key(s): {unknown}")
+    missing = [name for name, f in fields.items() if name not in value
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"{what} is missing required key(s): {missing}")
+    hints = get_type_hints(hint)
+    for key, item in value.items():
+        check_json(item, hints[key], f"{what} key {key!r}", error)
+    return value
+
+
 @dataclass
 class GroupScheme:
     """Ordered mapping from raw quality scores to merged analysis groups."""
@@ -205,9 +258,11 @@ class GroupScheme:
     groups: list[tuple[str, frozenset[int]]]
 
     def __post_init__(self):
-        self.groups = [(str(label), frozenset(scores)) for label, scores in self.groups]
+        self.groups = [(label, frozenset(scores)) for label, scores in self.groups]
         if len(self.groups) < 2:
             raise ValueError("a group scheme needs at least 2 groups")
+        if len(set(self.labels)) < len(self.groups):
+            raise ValueError(f"group labels must be distinct, got {self.labels}")
         seen: set[int] = set()
         for label, scores in self.groups:
             if 0 in scores:
@@ -234,14 +289,8 @@ class GroupScheme:
     @classmethod
     def from_config(cls, entries) -> "GroupScheme":
         """Build a scheme from the [[label, [score, ...]], ...] shape to_config writes."""
-        for entry in entries:
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and isinstance(entry[1], list)
-                and all(type(s) is int for s in entry[1])
-            ):
-                raise ValueError(f"group {entry!r} must be a [label, [score, ...]] pair")
+        for i, entry in enumerate(check_json(entries, list, "groups"), start=1):
+            check_json(entry, tuple[str, list[int]], f"group {i} ([label, [grade, ...]])")
         return cls(entries)
 
 

@@ -48,25 +48,26 @@ def select_scope(docs: list[Document], scope: str) -> list[Document]:
     raise ValueError(f"unknown scope {scope!r}")
 
 
+def check_scopes(requested: list[str]):
+    """Reject a scope specifier other than units, panels, all, unit:<x> or panel:<x>."""
+    for item in requested:
+        kind, _, value = item.partition(":")
+        if item not in ("units", "panels", "all") and not (kind in ("unit", "panel") and value):
+            raise ValueError(f"unknown scope specifier {item!r}; use units, panels, all, unit:<x> or panel:<x>")
+
+
 def expand_scopes(docs: list[Document], requested: list[str]) -> list[str]:
-    """Expand the keywords units/panels/all into concrete scope ids."""
+    """Expand the keywords units/panels into concrete scope ids, dropping repeats."""
+    check_scopes(requested)
     scopes: list[str] = []
     for item in requested:
         if item == "units":
             scopes.extend(f"unit:{u}" for u in sorted({d.unit for d in docs if d.unit}))
         elif item == "panels":
             scopes.extend(f"panel:{p}" for p in sorted({d.panel for d in docs if d.panel}))
-        elif item == "all" or ":" in item:
-            scopes.append(item)
         else:
-            raise ValueError(f"unknown scope specifier {item!r}")
-    seen = set()
-    unique = []
-    for s in scopes:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+            scopes.append(item)
+    return list(dict.fromkeys(scopes))
 
 
 def clean_documents(docs: list[Document], rules: list[CleaningRule]) -> list[Document]:

@@ -12,9 +12,10 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
+from .corpus import check_json
 from .stats import TermResult
 
 logger = logging.getLogger(__name__)
@@ -146,60 +147,47 @@ def render_csv(report: ScopeReport) -> str:
 
 
 def render_jsonl(report: ScopeReport) -> str:
-    lines = []
-    for row in report.rows:
-        lines.append(
-            json.dumps(
-                {
-                    "scope": report.scope,
-                    "m": report.m,
-                    "threshold": report.threshold,
-                    "illustrative": report.illustrative,
-                    "term": row.term,
-                    "n": row.n,
-                    "chi2": row.chi2,
-                    "p_value": row.p_value,
-                    "significant": row.significant,
-                    "direction": row.direction,
-                    "proportions": row.proportions,
-                },
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    head = {"scope": report.scope, "m": report.m, "threshold": report.threshold, "illustrative": report.illustrative}
+    return "".join(json.dumps({**head, **asdict(row)}, ensure_ascii=False) + "\n" for row in report.rows)
+
+
+@dataclass
+class _ReportLine(ReportRow):
+    """One JSON-lines report row: a ReportRow plus its scope's fields."""
+
+    scope: str
+    m: int
+    threshold: Optional[float]
+    illustrative: bool
 
 
 def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
-    """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row)."""
+    """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row).
+
+    Every row must carry the first row's scope fields and group labels.
+    """
     rows = []
-    scope = m = threshold = illustrative = labels = None
+    first = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {lineno}: a report row must be a JSON object")
         try:
-            scope, m, threshold = obj["scope"], obj["m"], obj["threshold"]
-            illustrative = obj["illustrative"]
-            labels = list(obj["proportions"].keys())
-            rows.append(
-                ReportRow(
-                    term=obj["term"],
-                    n=obj["n"],
-                    chi2=obj["chi2"],
-                    p_value=obj["p_value"],
-                    significant=obj["significant"],
-                    direction=obj["direction"],
-                    proportions=obj["proportions"],
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: report row has no {exc.args[0]!r} field") from None
-    if scope is None:
+            obj = check_json(json.loads(line), _ReportLine, f"line {lineno}: report row")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+        shared = {key: obj[key] for key in ("scope", "m", "threshold", "illustrative")}
+        shared["group labels"] = list(obj["proportions"])
+        if first is None:
+            first, first_line = shared, lineno
+        for key, value in shared.items():
+            if value != first[key]:
+                raise ValueError(f"line {lineno}: {key} {value!r} differs from line {first_line}'s {first[key]!r}")
+        rows.append(ReportRow(**{f.name: obj[f.name] for f in fields(ReportRow)}))
+    if first is None:
         raise ValueError("cannot rebuild a report from an empty JSON-lines stream")
-    return ScopeReport(scope, m, threshold, labels, rows, illustrative)
+    return ScopeReport(first["scope"], first["m"], first["threshold"], first["group labels"], rows,
+                       first["illustrative"])
 
 
 def render_text(report: ScopeReport) -> str:

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .cleanse import default_rules
-from .corpus import Document, GroupScheme, default_group_scheme
+from .corpus import Document, GroupScheme, check_json, default_group_scheme
 from .pipeline import analyze_scope, clean_documents
 from .stats import AnalysisConfig
 from .textproc import tokenize
 
 _TITLE_TOKENS = 3
 _KEYWORD_COUNT = 2
-_REQUIRED_SPEC_KEYS = ("group_sizes", "vocab_size", "sentences_per_doc", "tokens_per_sentence")
 
 
 @dataclass
@@ -33,7 +32,7 @@ class PlantedTerm:
 
     def __post_init__(self):
         self.tokens = tuple(self.tokens)
-        self.probs = tuple(float(p) for p in self.probs)
+        self.probs = tuple(self.probs)
 
     @property
     def rendered(self) -> str:
@@ -57,7 +56,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.group_sizes = tuple(int(n) for n in self.group_sizes)
+        self.group_sizes = tuple(self.group_sizes)
         if any(n < 1 for n in self.group_sizes) or len(self.group_sizes) < 2:
             raise ValueError("need at least 2 groups with positive sizes")
         if self.vocab_size < 1:
@@ -81,33 +80,13 @@ class SyntheticSpec:
             if tuple(tokenize(term.rendered)) != term.tokens:
                 raise ValueError(f"term {term.rendered!r} does not survive tokenization")
 
-    def to_config(self) -> dict:
-        return {
-            "group_sizes": list(self.group_sizes),
-            "vocab_size": self.vocab_size,
-            "sentences_per_doc": self.sentences_per_doc,
-            "tokens_per_sentence": self.tokens_per_sentence,
-            "planted": [{"tokens": list(t.tokens), "probs": list(t.probs)} for t in self.planted],
-            "token_inclusion_prob": self.token_inclusion_prob,
-            "seed": self.seed,
-        }
-
     @classmethod
-    def from_config(cls, obj: dict) -> "SyntheticSpec":
-        if not isinstance(obj, dict):
-            raise ValueError("a synthetic spec must be a JSON object")
-        missing = [key for key in _REQUIRED_SPEC_KEYS if key not in obj]
-        if missing:
-            raise ValueError(f"synthetic spec is missing required key(s): {', '.join(missing)}")
-        return cls(
-            group_sizes=tuple(obj["group_sizes"]),
-            vocab_size=int(obj["vocab_size"]),
-            sentences_per_doc=int(obj["sentences_per_doc"]),
-            tokens_per_sentence=int(obj["tokens_per_sentence"]),
-            planted=[PlantedTerm(tuple(t["tokens"]), tuple(t["probs"])) for t in obj.get("planted", [])],
-            token_inclusion_prob=float(obj.get("token_inclusion_prob", 1.0)),
-            seed=int(obj.get("seed", 0)),
-        )
+    def from_config(cls, obj) -> "SyntheticSpec":
+        """Build a spec from its JSON object, the shape dataclasses.asdict gives."""
+        check_json(obj, cls, "synthetic spec")
+        planted = [PlantedTerm(**check_json(term, PlantedTerm, f"synthetic spec planted term {i}"))
+                   for i, term in enumerate(obj.get("planted", []), start=1)]
+        return cls(**{**obj, "planted": planted})
 
 
 def background_vocabulary(size: int) -> list[str]:
@@ -188,17 +167,6 @@ class DetectorMetrics:
     false_positive_sims: int
     mean_m: float
     mean_threshold: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_sims": self.n_sims,
-            "recall": self.recall,
-            "fwer": self.fwer,
-            "recall_per_sim": self.recall_per_sim,
-            "false_positive_sims": self.false_positive_sims,
-            "mean_m": self.mean_m,
-            "mean_threshold": self.mean_threshold,
-        }
 
 
 def evaluate_detector(

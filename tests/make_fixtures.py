@@ -183,7 +183,7 @@ def main():
         seed=3,
     )
     with open(FIXTURE_DIR / "synth_spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec.to_config(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     print(f"wrote {len(scores)} score records, {len(metadata)} metadata records")

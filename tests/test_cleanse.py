@@ -139,3 +139,9 @@ def test_load_rules_rejects_bad_shapes(tmp_path):
     path.write_text('[{"pattern": "x"}]')
     with pytest.raises(RuleConfigError):
         load_rules(path)
+    for entry in ({"kind": "pattern_delete", "pattern": 5},
+                  {"kind": "pattern_delete", "pattern": "zap", "enabled": "false"},
+                  {"kind": "pattern_delete", "pattern": "zap", "enabled": 0},
+                  {"kind": "pattern_delete", "pattern": "zap", "enable": False}):
+        with pytest.raises(RuleConfigError, match="^rule 1 "):
+            load_rules([entry])

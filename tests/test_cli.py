@@ -186,6 +186,125 @@ def test_synth_spec_missing_required_key_is_an_error(tmp_path, capsys):
         assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"group_sizes": 5}, "'group_sizes'"),
+    ({"planted": 5}, "'planted'"),
+    ({"seed": None}, "'seed'"),
+    ({"sentences_per_doc": None}, "'sentences_per_doc'"),
+    ({"vocab_size": "12"}, "'vocab_size'"),
+    ({"vocab_size": 3.7}, "'vocab_size'"),
+    ({"vocab_sise": 100}, "'vocab_sise'"),
+    ({"planted": [{"tokens": "ab", "probs": [0.02, 0.05, 0.5]}]}, "planted term 1 key 'tokens'"),
+    ({"planted": [{"tokens": ["zzab"], "probs": [0.02, 0.05, 0.5], "prob": 1}]}, "planted term 1"),
+])
+def test_synth_spec_of_wrong_type_is_an_error(tmp_path, capsys, edit, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**json.loads((FIXTURES / "synth_spec.json").read_text()), **edit}))
+    out = tmp_path / "out"
+    rc = run_cli("synth", "--spec", str(spec_path), "--sims", "1", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: synthetic spec") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule, named", [
+    ({"kind": "pattern_delete", "pattern": 5}, "'pattern'"),
+    ({"kind": "pattern_delete", "pattern": "zap", "enabled": "false"}, "'enabled'"),
+    ({"kind": "pattern_delete", "pattern": "zap", "enable": False}, "'enable'"),
+])
+def test_rule_of_wrong_type_is_an_error(tmp_path, capsys, rule, named):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"kind": "suffix_strip", "pattern": "x"}, rule]))
+    out = tmp_path / "out"
+    rc = run_cli("clean", "--in", str(FIXTURES / "metadata.jsonl"), "--rules", str(rules), "--out", str(out))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: rule 2 ") and named in captured.err
+    assert "active rules" not in captured.out
+    assert not out.exists()
+
+
+REPORT_ROW = {"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": "alpha", "n": 4,
+              "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
+              "proportions": {"low": 0.1, "4": 0.5}}
+
+
+@pytest.mark.parametrize("fmt, edit, named", [
+    ("text", {"proportions": 5}, "'proportions'"),
+    ("text", {"term": None}, "'term'"),
+    ("text", {"direction": 7}, "'direction'"),
+    ("csv", {"chi2": "x"}, "'chi2'"),
+    ("csv", {"significant": "yes"}, "'significant'"),
+    ("csv", {"proportions": {"low": 0.1, "4": "0.5"}}, "'proportions'"),
+    ("csv", {"extra": 1}, "'extra'"),
+    ("text", {"chi2": 10 ** 400}, "'chi2'"),
+])
+def test_report_row_of_wrong_type_is_an_error(tmp_path, capsys, fmt, edit, named):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW, {**REPORT_ROW, "term": "beta", **edit}))
+    rc = run_cli("report", "--in", str(in_path), "--format", fmt)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: line 2: report row") and named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"proportions": {"low": 0.1, "x": 0.5}}, "group labels"),
+    ({"proportions": {"4": 0.5, "low": 0.1}}, "group labels"),
+    ({"scope": "unit:3"}, "scope"),
+    ({"m": 4}, "m"),
+    ({"threshold": None}, "threshold"),
+    ({"illustrative": True}, "illustrative"),
+])
+def test_report_rows_of_mixed_scopes_are_an_error(tmp_path, capsys, edit, named):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW, REPORT_ROW, {**REPORT_ROW, "term": "beta", **edit}))
+    rc = run_cli("report", "--in", str(in_path), "--format", "csv")
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: line 3: {named} ") and "line 1" in captured.err
+    assert captured.out == ""
+
+
+def test_report_line_of_invalid_json_names_the_line(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW) + "{\n")
+    rc = run_cli("report", "--in", str(in_path))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+
+
+@pytest.mark.parametrize("groups, named", [
+    ([["a", [1, 2]], ["a", [3]], ["b", [4]]], "distinct"),
+    ([[1, [1, 2]], ["1", [3, 4]]], "group 1"),
+])
+def test_config_group_labels_must_be_distinct_strings(tmp_path, capsys, groups, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"groups": groups}))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("pipeline", "--config", str(cfg_path), "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and named in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("scopes", ["foo:bar", "unit", "unit:", "all,panel:"])
+def test_pipeline_bad_scope_specifier_fails_before_writing(tmp_path, capsys, scopes):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out), "--scopes", scopes)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: unknown scope specifier")
+    assert list(out.iterdir()) == []
+
+
 def test_missing_input_file_nonzero_exit(tmp_path, capsys):
     rc = run_cli("link", "--scores", str(tmp_path / "nope.jsonl"),
                  "--metadata", str(tmp_path / "also-nope.jsonl"), "--out", str(tmp_path / "o"))

@@ -1,6 +1,8 @@
 import json
 import random
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from termassoc.corpus import (
     Document,
     GroupScheme,
     PipelineOrderError,
+    check_json,
     dedup_within_unit,
     default_group_scheme,
     drop_unclassified,
@@ -392,6 +395,8 @@ def test_scheme_validation():
         GroupScheme([("a", frozenset({1, 2})), ("b", frozenset({2, 3, 4}))])  # overlap
     with pytest.raises(ValueError):
         GroupScheme([("a", frozenset({1, 2})), ("b", frozenset({3}))])  # no 4
+    with pytest.raises(ValueError):
+        GroupScheme([("a", frozenset({1, 2})), ("a", frozenset({3})), ("b", frozenset({4}))])  # label twice
     two = GroupScheme([("lo", frozenset({1, 2})), ("hi", frozenset({3, 4}))])
     assert two.labels == ["lo", "hi"]
 
@@ -399,3 +404,38 @@ def test_scheme_validation():
 def test_scheme_config_round_trip():
     scheme = default_group_scheme()
     assert GroupScheme.from_config(scheme.to_config()) == scheme
+
+
+# ------------------------------------------------------------------ check_json
+
+@dataclass
+class _Shape:
+    name: str
+    weights: tuple[float, ...]
+    pair: tuple[str, list[int]]
+    labels: dict[str, float] = field(default_factory=dict)
+    flag: bool = True
+    note: Optional[str] = None
+
+
+def test_check_json_accepts_json_shapes_without_coercion():
+    good = {"name": "a", "weights": [1, 0.5], "pair": ["x", [1, 2]], "labels": {"k": 2}, "note": None}
+    assert check_json(good, _Shape, "shape") is good     # an int passes as a float
+    assert check_json([["a", [1]]], list[tuple[str, list[int]]], "groups") == [["a", [1]]]
+    for value, hint in ((True, int), (1, bool), ("12", int), (3.7, int), ("false", bool), (True, float),
+                        ([1, 2], tuple[int]), (["a"], tuple[str, int]), ((1,), tuple[int, ...]),
+                        ({"k": "1"}, dict[str, float]), (None, str), (10 ** 400, float)):
+        with pytest.raises(ValueError, match="^v has the wrong type"):
+            check_json(value, hint, "v")
+
+
+@pytest.mark.parametrize("obj, message", [
+    (["name"], "must be a JSON object"),
+    ({"name": "a", "weights": [], "pair": ["x", []], "nmae": "b"}, r"unknown key\(s\): \['nmae'\]"),
+    ({"name": "a"}, r"missing required key\(s\): \['weights', 'pair'\]"),
+    ({"name": "a", "weights": [], "pair": ["x", []], "flag": "false"}, "key 'flag' has the wrong type"),
+    ({"name": "a", "weights": [], "pair": [1, []]}, "key 'pair' has the wrong type"),
+])
+def test_check_json_names_the_bad_key(obj, message):
+    with pytest.raises(ValueError, match=f"^shape .*{message}"):
+        check_json(obj, _Shape, "shape")

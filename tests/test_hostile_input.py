@@ -1,0 +1,119 @@
+"""Any JSON value in any field of any input ends in exit 0 or 1, never an exception.
+
+Each example takes a small valid input set, replaces one node of one input
+(an object, a list, a field or an element, at any depth) with an arbitrary
+JSON value, or half the time with a value of that node's own JSON type, and
+runs the matching command through `cli.main` in-process.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from termassoc.cli import main
+
+SCORES = [
+    {"id": "r1", "doi": "10.1/a", "title": "Alpha study", "journal": "J", "unit": "3", "score": 4,
+     "submitter": "s1"},
+    {"id": "r2", "doi": "10.1/b", "title": "Beta study", "journal": "J", "unit": "3", "panel": "A", "score": 1},
+    {"id": "r3", "title": "Gamma study", "journal": "J", "unit": "7", "score": 3},
+]
+METADATA = [
+    {"id": "m1", "doi": "10.1/a", "title": "Alpha study", "journal": "J",
+     "abstract": "Alpha rises. Beta falls. © 2020 Press.", "keywords": ["alpha"]},
+    {"id": "m2", "doi": "10.1/b", "title": "Beta study", "journal": "J", "abstract": "Beta falls. Alpha rises."},
+    {"id": "m3", "title": "Gamma study", "journal": "J", "abstract": "Gamma stays.", "keywords": []},
+]
+RULES = [{"kind": "suffix_strip", "pattern": "©.*", "enabled": True},
+         {"kind": "pattern_delete", "pattern": "falls", "enabled": False}]
+CONFIG = {"seed": 1, "alpha": 0.05, "n_max": 2, "min_df": 1, "top_k": 5, "min_abstract_chars": 0,
+          "scopes": ["units", "panels", "all", "unit:3"], "threads": 1, "drop_missing_unit": True,
+          "groups": [["low", [1, 2]], ["3", [3]], ["4", [4]]]}
+SPEC = {"group_sizes": [3, 3, 3], "vocab_size": 20, "sentences_per_doc": 2, "tokens_per_sentence": 4,
+        "planted": [{"tokens": ["zzalpha", "zzbeta"], "probs": [0.1, 0.2, 0.9]}],
+        "token_inclusion_prob": 1.0, "seed": 3}
+REPORT = [{"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": term, "n": 4,
+           "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
+           "proportions": {"low": 0.1, "3": 0.2, "4": 0.5}} for term in ("alpha beta", "alpha")]
+
+# Each input, as a file name and its valid content; JSON-lines inputs are lists of records.
+INPUTS = {"scores": ("scores.jsonl", SCORES), "metadata": ("metadata.jsonl", METADATA),
+          "rules": ("rules.json", RULES), "config": ("config.json", CONFIG),
+          "spec": ("spec.json", SPEC), "report": ("report.jsonl", REPORT)}
+
+# Integers stay small: a well-typed but huge size (say, a billion documents)
+# is a legitimate request that takes that long, not malformed input.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _same_kind(node):
+    """Values of the node's own JSON type, to reach the checks behind the type check."""
+    for kind, strategy in ((bool, st.booleans()), (int, st.integers(-3, 40)), (float, st.floats(-1, 2)),
+                           (str, st.text(max_size=6)), (list, st.lists(json_values, max_size=4)),
+                           (dict, st.dictionaries(st.text(max_size=6), json_values, max_size=4))):
+        if isinstance(node, kind):
+            return strategy
+    return st.none()
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replace(node[path[0]], path[1:], value)
+    return copy
+
+
+def _write(path: Path, content):
+    if path.suffix == ".jsonl" and isinstance(content, list):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in content))
+    else:
+        path.write_text(json.dumps(content))
+
+
+def _argv(target: str, d: Path, fmt: str) -> list[str]:
+    if target == "rules":
+        return ["clean", "--in", str(d / "metadata.jsonl"), "--rules", str(d / "rules.json")]
+    if target == "spec":
+        return ["synth", "--spec", str(d / "spec.json"), "--sims", "1", "--min-df", "1"]
+    if target == "report":
+        return ["report", "--in", str(d / "report.jsonl"), "--format", fmt]
+    # The config names the rules and inputs, so its path fields are fuzzed too.
+    return ["pipeline", "--config", str(d / "config.json")]
+
+
+@pytest.mark.parametrize("target", sorted(INPUTS))
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_json_value_anywhere_exits_0_or_1(target, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        inputs = {key: content for key, (_, content) in INPUTS.items()}
+        inputs["config"] = {**CONFIG, "scores": str(d / "scores.jsonl"), "metadata": str(d / "metadata.jsonl"),
+                            "rules": str(d / "rules.json")}
+        path = data.draw(st.sampled_from(list(_paths(inputs[target]))), label="path")
+        node = inputs[target]
+        for key in path:
+            node = node[key]
+        value = data.draw(json_values | _same_kind(node), label="value")
+        inputs[target] = _replace(inputs[target], path, value)
+        for key, content in inputs.items():
+            _write(d / INPUTS[key][0], content)
+        fmt = data.draw(st.sampled_from(["csv", "jsonl", "text"]), label="format")
+        assert main(_argv(target, d, fmt) + ["--out", str(d / "out")]) in (0, 1)
