@@ -139,6 +139,9 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
         except json.JSONDecodeError as exc:
             errors.append((lineno, f"invalid JSON: {exc.msg}"))
             continue
+        except RecursionError:
+            errors.append((lineno, "invalid JSON: nested too deeply"))
+            continue
         if not isinstance(raw, dict):
             errors.append((lineno, "record is not a JSON object"))
             continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from .corpus import GroupScheme, default_group_scheme
@@ -228,11 +229,14 @@ def build_tables(
     Raises on an empty corpus or an empty group, both of which make the test
     degenerate.
 
-    Terms are counted level by level: all unigrams first, then each n-gram
-    only at the unit positions where both of its (n-1)-gram sub-phrases
-    reached min_df. This is exact because a document holding an n-gram holds
-    both sub-phrases in the same unit, so an n-gram is never in more
-    documents than either of them (the Apriori property).
+    Terms are counted level by level over segments: token runs whose every
+    (n-1)-gram reached min_df (at level 1, the units). Level n counts each
+    segment's n-grams; a segment goes on to level n+1 cut into its maximal
+    runs of kept n-grams, keeping the runs that hold an (n+1)-gram. So an
+    n-gram is counted only where both of its (n-1)-gram sub-phrases reached
+    min_df. This is exact because a document holding an n-gram holds both
+    sub-phrases in the same unit, so an n-gram is never in more documents
+    than either of them (the Apriori property).
     """
     pairs = list(zip(term_sets, groups, strict=True))
     if not pairs:
@@ -248,38 +252,64 @@ def build_tables(
 
     sizes = tuple(group_sizes)
     tables: dict[str, ContingencyTable] = {}
-    # Per document: (group, n_max, [(tokens, grams)]), where grams[i] is the
-    # n-gram starting at token i, or None where a sub-phrase fell below min_df.
-    level = [(g, ts.n_max, [(u, u) for u in ts.units]) for ts, g in pairs]
+    # Per document: (group, n_max, segments).
+    level = [(g, ts.n_max, ts.units) for ts, g in pairs]
     n = 1
     while level:
-        counts = [Counter() for _ in range(n_groups)]
+        # Pass 1: document frequency of every n-gram present.
         doc_freq = Counter()
-        for g, _, units in level:
-            present = {gram for _, grams in units for gram in grams}
-            present.discard(None)
-            counts[g].update(present)
-            doc_freq.update(present)
+        for _, _, segments in level:
+            doc_freq.update(set().union(*_grams(segments, n)))
         kept = {gram for gram, df in doc_freq.items() if df >= min_df}
         if not kept:
             break
-        for gram in kept:
-            tables[gram] = ContingencyTable(sizes, tuple(c[gram] for c in counts))
+        # Pass 2: per-group counts of the kept n-grams, and the runs to extend.
+        counts = [Counter() for _ in range(n_groups)]
         next_level = []
-        for g, n_max, units in level:
-            if n_max <= n:
+        for g, n_max, segments in level:
+            present = kept.intersection(chain.from_iterable(_grams(segments, n)))
+            if not present:
                 continue
-            longer = []
-            for tokens, grams in units:
-                grams = [gram if gram in kept else None for gram in grams]
-                grams = [a + " " + t if a and b else None for a, b, t in zip(grams, grams[1:], tokens[n:])]
-                if any(grams):
-                    longer.append((tokens, grams))
-            if longer:
-                next_level.append((g, n_max, longer))
+            counts[g].update(present)
+            if n_max > n:
+                longer = _kept_runs(segments, n, kept)
+                if longer:
+                    next_level.append((g, n_max, longer))
+        for gram in kept:
+            term = gram if n == 1 else " ".join(gram)
+            tables[term] = ContingencyTable(sizes, tuple(c[gram] for c in counts))
         level = next_level
         n += 1
     return tables
+
+
+def _grams(segments: list[list[str]], n: int):
+    """Each segment's n-grams in order: its tokens at n = 1, else tuples of n tokens."""
+    if n == 1:
+        return segments
+    return map(zip, *[[tokens[i:] for tokens in segments] for i in range(n)])
+
+
+def _kept_runs(segments: list[list[str]], n: int, kept: set) -> list[list[str]]:
+    """The maximal runs of kept n-grams in the segments, as tokens, that hold an (n+1)-gram."""
+    runs = []
+    for tokens, grams in zip(segments, _grams(segments, n)):
+        if len(tokens) <= n:
+            continue
+        if n > 1:
+            grams = list(grams)
+        if kept.issuperset(grams):
+            runs.append(tokens)
+        elif not kept.isdisjoint(grams):
+            start = 0    # first gram of the current run of kept grams
+            for i, gram in enumerate(grams):
+                if gram not in kept:
+                    if i - start > 1:
+                        runs.append(tokens[start : i - 1 + n])
+                    start = i + 1
+            if len(grams) - start > 1:
+                runs.append(tokens[start:])
+    return runs
 
 
 def compute_term_results(

@@ -65,7 +65,6 @@ class SyntheticSpec:
             raise ValueError("sentence shape must be positive")
         if not 0.0 <= self.token_inclusion_prob <= 1.0:
             raise ValueError("token_inclusion_prob must be in [0, 1]")
-        vocab = set(background_vocabulary(self.vocab_size))
         for term in self.planted:
             if len(term.probs) != len(self.group_sizes):
                 raise ValueError(f"term {term.rendered!r}: need one probability per group")
@@ -75,7 +74,7 @@ class SyntheticSpec:
                 raise ValueError(
                     f"term {term.rendered!r} is longer than a sentence ({self.tokens_per_sentence} tokens)"
                 )
-            if set(term.tokens) & vocab:
+            if any(_in_vocabulary(token, self.vocab_size) for token in term.tokens):
                 raise ValueError(f"term {term.rendered!r} collides with the background vocabulary")
             if tuple(tokenize(term.rendered)) != term.tokens:
                 raise ValueError(f"term {term.rendered!r} does not survive tokenization")
@@ -91,6 +90,16 @@ class SyntheticSpec:
 
 def background_vocabulary(size: int) -> list[str]:
     return [f"tok{i:05d}" for i in range(size)]
+
+
+def _in_vocabulary(token: str, size: int) -> bool:
+    """Whether token is in background_vocabulary(size), decided without building it."""
+    digits = token[3:]
+    # A word tok{i:05d} has max(5, len(str(i))) digits; the length test keeps
+    # int() off absurdly long digit runs.
+    return (token.startswith("tok") and digits.isascii() and digits.isdigit()
+            and len(digits) <= max(5, len(str(size)))
+            and f"{int(digits):05d}" == digits and int(digits) < size)
 
 
 def _capitalize(sentence: str) -> str:

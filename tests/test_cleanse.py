@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from termassoc.cleanse import CleaningRule, RuleConfigError, clean_abstract, default_rules, load_rules
 
@@ -67,6 +67,43 @@ BOILERPLATE = st.sampled_from([
 @given(st.lists(st.one_of(st.text(), BOILERPLATE)).map("".join))
 def test_cleaning_never_lengthens_random_text(text):
     assert len(clean_abstract(text, default_rules())) <= len(text)
+
+
+# The two default rules as spelled before they were made to start with a
+# literal (see README, "Cleaning rules"): the oracle for the respelled ones.
+OLD_SPELLINGS = {
+    1: r"(?:Crown )?Copyright\s*(?:©|\(c\))?\s*(?:\d{4}|The Authors?).*",
+    6: r"\b(?:Background|Objectives?|Aims?|Purpose|Design|Setting|Materials and [Mm]ethods|Methods?|Results?|"
+       r"Findings|Conclusions?|Interpretation|Discussion|Limitations|Funding|Trial registration)\s*:\s*",
+}
+LABELS = ["Background", "Objective", "Objectives", "Aim", "Aims", "Purpose", "Design", "Setting",
+          "Materials and methods", "Materials and Methods", "Method", "Methods", "Result", "Results",
+          "Findings", "Conclusion", "Conclusions", "Interpretation", "Discussion", "Limitations",
+          "Funding", "Trial registration"]
+# Each piece is a word the two rules look for, with what may precede and
+# follow it, so that labels meet colons and word characters often enough.
+RULE_PIECES = st.tuples(
+    st.sampled_from(["", " ", "\n", "_", "é", "7", "Sub"]),
+    st.one_of(st.sampled_from(LABELS), st.sampled_from(["Crown", "Copyright", "©", "(c)", "2021", "The Authors"])),
+    st.sampled_from(["", " ", "\n", ":", " : "]),
+).map("".join)
+NEW_RULES = default_rules()
+OLD_RULES = [CleaningRule(r.kind, OLD_SPELLINGS.get(i, r.pattern), r.enabled) for i, r in enumerate(NEW_RULES)]
+
+
+def test_old_spellings_are_of_the_respelled_rules():
+    for i, old in OLD_SPELLINGS.items():
+        assert NEW_RULES[i].kind == OLD_RULES[i].kind and NEW_RULES[i].pattern != old
+
+
+@settings(max_examples=500)
+@given(st.lists(RULE_PIECES, max_size=16).map("".join))
+@example("Results: x. Crown Copyright © 2021 y")
+@example("SubMethods: x. é Crown Copyright The Authors")
+def test_respelled_rules_remove_what_the_old_spellings_did(text):
+    for new, old in zip(NEW_RULES, OLD_RULES):
+        assert new.apply(text) == old.apply(text)
+    assert clean_abstract(text, NEW_RULES) == clean_abstract(text, OLD_RULES)
 
 
 def test_cleaning_idempotent_on_fixture_corpus():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,22 @@ def test_link_duplicate_score_id_keeps_first_record(tmp_path, capsys):
     assert [(d["id"], d["doi"], d["unit"], d["score"], d["abstract"]) for d in merged] == [
         ("r1", "10.1/a", "1", 4, "Abstract A.")
     ]
+
+
+def test_link_deeply_nested_line_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+    scores, metadata = tiny
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(before)) == 0
+    lines = scores.read_text().splitlines(keepends=True)
+    scores.write_text("".join(lines[:2]) + "[" * 100_000 + "\n" + "".join(lines[2:]))
+    capsys.readouterr()
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
+    captured = capsys.readouterr()
+    assert f"1 malformed record(s) skipped in {scores}" in captured.err
+    assert f"{scores}:3: invalid JSON: nested too deeply" in caplog.text
+    assert "linked 2 by doi, 1 by title/journal, 0 unmatched, 1 suspicious" in captured.out
+    for name in ("merged.jsonl", "link_report.csv"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
 def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
@@ -344,6 +361,16 @@ def test_pipeline_on_bundled_fixtures(tmp_path, capsys):
     unit16 = (out / "report_unit_16.jsonl").read_text().splitlines()
     assert unit16 and all(json.loads(l)["illustrative"] for l in unit16)
     assert all(not json.loads(l)["significant"] for l in unit16)
+
+
+def test_pipeline_output_bytes_match_golden_digests(tmp_path, capsys):
+    """Output bytes are pinned: an intended change to them edits golden_digests.json."""
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                   "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out)) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+               if p.name.startswith("report_") or p.name in ("manifest.json", "merged.jsonl", "link_report.csv")}
+    assert digests == json.loads((FIXTURES / "golden_digests.json").read_text())
 
 
 def test_stage_subcommands_chain(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,32 @@ def test_spec_validation_errors():
         small_spec(group_sizes=(10,))
     with pytest.raises(ValueError):
         small_spec(token_inclusion_prob=1.5)
+
+
+def test_huge_vocabulary_spec_constructs_quickly():
+    start = time.perf_counter()
+    small_spec(vocab_size=10**8, planted=[PlantedTerm(("zza", "tok1"), (0.1, 0.2, 0.3))])
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("token, vocab_size, collides", [
+    ("tok00042", 120, True),
+    ("tok00042", 42, False),
+    ("tok42", 10**8, False),
+    ("tok000042", 10**8, False),
+    ("tok100000", 100_000, False),
+    ("tok100000", 100_001, True),
+])
+def test_planted_token_collision_matches_the_vocabulary(token, vocab_size, collides):
+    def spec():
+        return small_spec(vocab_size=vocab_size, planted=[PlantedTerm((token,), (0.1, 0.1, 0.1))])
+    if collides:
+        with pytest.raises(ValueError, match="collides with the background vocabulary"):
+            spec()
+    else:
+        spec()
+    if vocab_size <= 100_001:
+        assert (token in background_vocabulary(vocab_size)) == collides
 
 
 def test_spec_config_round_trip():
