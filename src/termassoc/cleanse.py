@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import check_json
+from .corpus import check_json, read_json
 
 RULE_KINDS = ("prefix_strip", "suffix_strip", "pattern_delete", "heading_strip")
 
@@ -85,8 +85,7 @@ def load_rules(source) -> list[CleaningRule]:
     RuleConfigError naming it.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
+        entries = read_json(source, "rule file")
     else:
         entries = source
     if not isinstance(entries, list):

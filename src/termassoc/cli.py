@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import logging
@@ -57,8 +56,7 @@ class PipelineConfig:
         cfg = cls()
         seed_given = getattr(args, "seed", None) is not None
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = corpus.check_json(json.load(fh), cls, f"config {path}")
+            raw = corpus.check_json(corpus.read_json(path, "config"), cls, f"config {path}")
             cfg = dataclasses.replace(cfg, **raw)
             seed_given = seed_given or "seed" in raw
         flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
@@ -86,8 +84,8 @@ class PipelineConfig:
             return cleanse.load_rules(self.rules)
         return cleanse.default_rules()
 
-    def config_hash(self) -> str:
-        """Hash of the analysis-relevant settings.
+    def config_hash(self, rules: list[cleanse.CleaningRule]) -> str:
+        """Hash of the analysis-relevant settings and the loaded rule set.
 
         Paths, thread count and log level are runtime concerns and stay out,
         so reruns that differ only in those carry the same hash.
@@ -102,10 +100,10 @@ class PipelineConfig:
             "scopes": self.scopes,
             "groups": self.group_scheme().to_config(),
             "drop_missing_unit": self.drop_missing_unit,
-            "rules": [dataclasses.asdict(r) for r in self.load_rules()],
+            "rules": [dataclasses.asdict(r) for r in rules],
         }
         blob = json.dumps(semantic, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return corpus.sha256(blob).hexdigest()
 
 
 def _comma_list(text: str) -> list[str]:
@@ -190,9 +188,8 @@ def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Docu
     return deduped
 
 
-def run_clean(cfg: PipelineConfig, in_path: str) -> list[corpus.Document]:
+def run_clean(cfg: PipelineConfig, in_path: str, rules: list[cleanse.CleaningRule]) -> list[corpus.Document]:
     docs = _read_documents(in_path, "corpus")
-    rules = cfg.load_rules()
     cleaned = pipeline.clean_documents(docs, rules)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +198,8 @@ def run_clean(cfg: PipelineConfig, in_path: str) -> list[corpus.Document]:
     return cleaned
 
 
-def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus.Document]) -> dict:
+def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse.CleaningRule],
+                docs: list[corpus.Document]) -> dict:
     if cfg.drop_missing_unit:
         docs, dropped = corpus.drop_unclassified(docs)
         if dropped:
@@ -213,7 +211,7 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus
         docs,
         scopes,
         analysis,
-        cfg.load_rules(),
+        rules,
         cfg.min_abstract_chars,
     )
     out = Path(cfg.output_dir)
@@ -240,7 +238,7 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus
         flag = " (illustrative)" if outcome.report.illustrative else ""
         print(f"scope {scope}: {len(outcome.report.rows)} term(s), m={outcome.m}{flag}")
     manifest = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": cfg.config_hash(rules),
         "seed": cfg.seed,
         "scopes": manifest_scopes,
         "skipped": skipped,
@@ -249,11 +247,10 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, docs: list[corpus
     return manifest
 
 
-def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sims: int,
-              corpus_out: Optional[str]) -> synth.DetectorMetrics:
+def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse.CleaningRule], spec_path: str,
+              sims: int, corpus_out: Optional[str]) -> synth.DetectorMetrics:
     try:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            spec = synth.SyntheticSpec.from_config(json.load(fh))
+        spec = synth.SyntheticSpec.from_config(corpus.read_json(spec_path, "synthetic spec"))
     except OSError as exc:
         raise FileNotFoundError(f"cannot read synthetic spec {spec_path!r}: {exc}") from exc
     if cfg.seed_given:
@@ -268,7 +265,7 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, spec_path: str, sim
         write_corpus_files(docs, corpus_dir)
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
-    metrics = synth.evaluate_detector(spec, analysis, sims, cfg.load_rules())
+    metrics = synth.evaluate_detector(spec, analysis, sims, rules)
     _write_atomic(out / "metrics.json", json.dumps(dataclasses.asdict(metrics), indent=2, sort_keys=True) + "\n")
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
@@ -369,9 +366,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
-        # Reject bad analysis values and scope specifiers before any stage writes.
+        # Reject bad analysis values, rules and scope specifiers before any stage writes.
         if args.command in ("analyze", "synth", "pipeline"):
             analysis = cfg.analysis_config()
+        if args.command in ("clean", "analyze", "synth", "pipeline"):
+            rules = cfg.load_rules()
         if args.command in ("analyze", "pipeline"):
             pipeline.check_scopes(cfg.scopes)
         if args.command == "link":
@@ -379,16 +378,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "dedup":
             run_dedup(cfg, args.in_path, args.scope)
         elif args.command == "clean":
-            run_clean(cfg, args.in_path)
+            run_clean(cfg, args.in_path, rules)
         elif args.command == "analyze":
-            run_analyze(cfg, analysis, _read_documents(args.in_path, "corpus"))
+            run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus"))
         elif args.command == "report":
             run_report(args.in_path, args.format, args.out_file)
         elif args.command == "synth":
-            run_synth(cfg, analysis, args.spec, args.sims, args.corpus_out)
+            run_synth(cfg, analysis, rules, args.spec, args.sims, args.corpus_out)
         elif args.command == "pipeline":
             _, merged = run_link(cfg)
-            run_analyze(cfg, analysis, merged)
+            run_analyze(cfg, analysis, rules, merged)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

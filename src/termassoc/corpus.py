@@ -9,13 +9,19 @@ finally filtered on score and cleaned-abstract length.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import random
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
+
+# The builtin module spares every process the OpenSSL that hashlib loads
+# (about 3.5 MB resident) for a few short digests; Python 3.12 moved it.
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +61,13 @@ def panel_for_unit(unit: str) -> str:
     return _UNIT_PANELS.get(str(unit).strip(), "")
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One bibliographic record flowing through the pipeline.
 
     Score records carry unit/panel/score/submitter and no abstract; metadata
     records carry abstract/keywords and no score. Merged documents carry both.
+    Slots keep a large metadata file small; a Document takes no other attributes.
     """
 
     id: str
@@ -196,6 +203,17 @@ def read_jsonl(path) -> ParseResult:
         return parse_records(fh)
 
 
+def read_json(path, what: str):
+    """Parse one whole JSON file; text that does not parse is a ValueError naming what and path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{what} {path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{what} {path}: invalid JSON: nested too deeply") from None
+
+
 def write_jsonl(path, docs: Iterable[Document]):
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
@@ -324,19 +342,24 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
     manual review. Empty keys never match. DOI diagnostics precede title+journal
     ones, each in record-id order.
     """
-    # Empty keys are never stored, so a record with one finds nothing.
-    by_doi: dict[str, list[str]] = {}   # normalized doi -> sorted metadata ids
-    by_tj: dict[str, list[str]] = {}    # title+journal key -> sorted metadata ids
-    for doc in sorted(metadata, key=lambda d: d.id):
-        if doc.doi:
-            by_doi.setdefault(doc.doi, []).append(doc.id)
-        key = title_journal_key(doc.title, doc.journal)
-        if key:
-            by_tj.setdefault(key, []).append(doc.id)
+    records = sorted(score_records, key=lambda d: d.id)
+    record_keys = [title_journal_key(rec.title, rec.journal) for rec in records]
+    # Only the keys some record looks up are indexed, so metadata no record
+    # wants costs no memory. Empty keys are never stored and so never match.
+    by_doi: dict[str, list[str]] = {rec.doi: [] for rec in records if rec.doi}
+    by_tj: dict[str, list[str]] = {key: [] for key in record_keys if key}
+    for doc in metadata:
+        if doc.doi in by_doi:
+            by_doi[doc.doi].append(doc.id)
+        ids = by_tj.get(title_journal_key(doc.title, doc.journal))
+        if ids is not None:
+            ids.append(doc.id)
+    for ids in (*by_doi.values(), *by_tj.values()):
+        ids.sort()
 
     result = LinkResult()
     tj_diagnostics = []
-    for rec in sorted(score_records, key=lambda d: d.id):
+    for rec, key in zip(records, record_keys):
         ids = by_doi.get(rec.doi)
         if ids:
             if len(ids) > 1:
@@ -345,7 +368,7 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
                 logger.warning(msg)
             result.matched.append((rec.id, ids[0], "doi"))
             continue
-        ids = by_tj.get(title_journal_key(rec.title, rec.journal))
+        ids = by_tj.get(key)
         if not ids:
             result.unmatched.append(rec.id)
         elif len(ids) > 1:
@@ -386,7 +409,7 @@ def merge_linked(score_records: list[Document], metadata: list[Document], link: 
 
 
 def _tie_rng(seed: int, identity: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}|{identity}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}|{identity}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -176,6 +176,8 @@ def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
             obj = check_json(json.loads(line), _ReportLine, f"line {lineno}: report row")
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"line {lineno}: invalid JSON: nested too deeply") from None
         shared = {key: obj[key] for key in ("scope", "m", "threshold", "illustrative")}
         shared["group labels"] = list(obj["proportions"])
         if first is None:

@@ -10,13 +10,12 @@ fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .cleanse import default_rules
-from .corpus import Document, GroupScheme, check_json, default_group_scheme
+from .corpus import Document, GroupScheme, check_json, default_group_scheme, sha256
 from .pipeline import analyze_scope, clean_documents
 from .stats import AnalysisConfig
 from .textproc import tokenize
@@ -107,7 +106,7 @@ def _capitalize(sentence: str) -> str:
 
 
 def derive_seed(seed: int, index) -> int:
-    digest = hashlib.sha256(f"{seed}|{index}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}|{index}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

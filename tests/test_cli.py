@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import termassoc
+from termassoc import cleanse
 from termassoc.cli import PipelineConfig, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -293,6 +295,29 @@ def test_report_line_of_invalid_json_names_the_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
 
 
+def test_report_line_nested_too_deeply_names_the_line(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW) + "[" * 100_000 + "\n")
+    rc = run_cli("report", "--in", str(in_path))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: nested too deeply")
+
+
+@pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]"], ids=["unclosed", "nested", "trailing-comma"])
+@pytest.mark.parametrize("flag, what", [("--config", "config"), ("--rules", "rule file"),
+                                        ("--spec", "synthetic spec")], ids=["config", "rules", "spec"])
+def test_json_file_that_does_not_parse_is_named(tmp_path, capsys, flag, what, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {"--spec": str(FIXTURES / "synth_spec.json"), flag: str(bad)}
+    out = tmp_path / "out"
+    rc = run_cli("synth", *(item for pair in argv.items() for item in pair), "--sims", "1", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {what} {bad}: invalid JSON")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("groups, named", [
     ([["a", [1, 2]], ["a", [3]], ["b", [4]]], "distinct"),
     ([[1, [1, 2]], ["1", [3, 4]]], "group 1"),
@@ -470,6 +495,62 @@ def test_synth_honours_rules(tmp_path, capsys):
     assert "recall=0.000" in capsys.readouterr().out
 
 
+BAD_RULES = [{"kind": "nope", "pattern": "x"}]
+
+
+def test_pipeline_bad_rules_fail_before_writing(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(BAD_RULES))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"),
+                 "--rules", str(rules), "--out", str(out))
+    assert rc == 1
+    assert "unknown rule kind 'nope'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_synth_bad_rules_write_no_corpus(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(BAD_RULES))
+    corpus_out, out = tmp_path / "corpus", tmp_path / "out"
+    rc = run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "1", "--rules", str(rules),
+                 "--corpus-out", str(corpus_out), "--out", str(out))
+    assert rc == 1
+    assert "unknown rule kind 'nope'" in capsys.readouterr().err
+    assert not corpus_out.exists() and not out.exists()
+
+
+def test_pipeline_loads_the_rules_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    load_rules = cleanse.load_rules
+    monkeypatch.setattr(cleanse, "load_rules", lambda source: calls.append(source) or load_rules(source))
+    rc = run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                 "--metadata", str(FIXTURES / "metadata.jsonl"),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="no _sha256 module: SHA-256 comes from hashlib here")
+def test_link_and_synth_runs_never_load_openssl(tmp_path):
+    runs = [
+        ["link", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),
+         "--out", str(tmp_path / "link")],
+        ["synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "1", "--out", str(tmp_path / "synth")],
+    ]
+    probe = ("import sys; from termassoc.cli import main; "
+             "rc = main(sys.argv[1:]); print('_hashlib' in sys.modules); sys.exit(rc)")
+    src = Path(termassoc.__file__).resolve().parent.parent
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", argv[0]
+
+
 def test_synth_missing_spec_no_partial_output(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("synth", "--spec", str(tmp_path / "missing.json"), "--sims", "2", "--out", str(out))
@@ -529,10 +610,12 @@ def test_config_hash_ignores_threads_and_paths(tmp_path):
     b.threads = 8
     b.output_dir = str(tmp_path)
     b.scores = "elsewhere.jsonl"
-    assert a.config_hash() == b.config_hash()
+    rules = a.load_rules()
+    assert a.config_hash(rules) == b.config_hash(rules)
     c = PipelineConfig.load(None, args)
     c.alpha = 0.01
-    assert c.config_hash() != a.config_hash()
+    assert c.config_hash(rules) != a.config_hash(rules)
+    assert a.config_hash(rules[1:]) != a.config_hash(rules)
 
 
 def test_console_entry_point_smoke():
