@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import ClassVar, Optional
 
 from . import cleanse, corpus, pipeline, synth
-from .report import emit_report, parse_jsonl
+from .report import FORMATS, emit_report, parse_jsonl
 from .stats import AnalysisConfig
 
 logger = logging.getLogger(__name__)
@@ -85,23 +85,16 @@ class PipelineConfig:
         return cleanse.default_rules()
 
     def config_hash(self, rules: list[cleanse.CleaningRule]) -> str:
-        """Hash of the analysis-relevant settings and the loaded rule set.
+        """Hash of every setting but the runtime ones, with the loaded rule set.
 
-        Paths, thread count and log level are runtime concerns and stay out,
-        so reruns that differ only in those carry the same hash.
+        Input and output paths and the thread count are runtime concerns and
+        stay out, so reruns that differ only in those carry the same hash. Any
+        other field is hashed, a new one included; the rules path is replaced
+        by the rules it loaded and the groups are normalised.
         """
-        semantic = {
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "n_max": self.n_max,
-            "min_df": self.min_df,
-            "top_k": self.top_k,
-            "min_abstract_chars": self.min_abstract_chars,
-            "scopes": self.scopes,
-            "groups": self.group_scheme().to_config(),
-            "drop_missing_unit": self.drop_missing_unit,
-            "rules": [dataclasses.asdict(r) for r in rules],
-        }
+        runtime = {"scores", "metadata", "output_dir", "threads"}
+        semantic = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name not in runtime}
+        semantic.update(groups=self.group_scheme().to_config(), rules=[dataclasses.asdict(r) for r in rules])
         blob = json.dumps(semantic, sort_keys=True).encode("utf-8")
         return corpus.sha256(blob).hexdigest()
 
@@ -110,10 +103,8 @@ def _comma_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_json(path: Path, obj):
+    corpus.write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _read_documents(path: str, label: str) -> list[corpus.Document]:
@@ -145,7 +136,6 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     merged = corpus.merge_linked(score_records, metadata, link)
 
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     suspicious = {pair: reason for pair, reason in link.suspicious}
     rows = []
     for rec_id, meta_id, kind in link.matched:
@@ -157,7 +147,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["record_id", "metadata_id", "match_kind", "suspicious", "reason"])
     writer.writerows(sorted(rows))
-    _write_atomic(out / "link_report.csv", buf.getvalue())
+    corpus.write_atomic(out / "link_report.csv", [buf.getvalue()])
 
     corpus.write_jsonl(out / "merged.jsonl", merged)
     by_kind = {"doi": 0, "title_journal": 0}
@@ -170,7 +160,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
         "suspicious": len(link.suspicious),
         "diagnostics": link.diagnostics,
     }
-    _write_atomic(out / "link_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "link_summary.json", summary)
     print(
         f"linked {by_kind['doi']} by doi, {by_kind['title_journal']} by title/journal, "
         f"{len(link.unmatched)} unmatched, {len(link.suspicious)} suspicious"
@@ -181,9 +171,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
 def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Document]:
     docs = _read_documents(in_path, "corpus")
     deduped = corpus.dedup_within_unit(docs, scope, cfg.seed)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus.write_jsonl(out / "deduped.jsonl", deduped)
+    corpus.write_jsonl(Path(cfg.output_dir) / "deduped.jsonl", deduped)
     print(f"dedup ({scope}): {len(docs)} -> {len(deduped)} documents")
     return deduped
 
@@ -191,9 +179,7 @@ def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Docu
 def run_clean(cfg: PipelineConfig, in_path: str, rules: list[cleanse.CleaningRule]) -> list[corpus.Document]:
     docs = _read_documents(in_path, "corpus")
     cleaned = pipeline.clean_documents(docs, rules)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus.write_jsonl(out / "cleaned.jsonl", cleaned)
+    corpus.write_jsonl(Path(cfg.output_dir) / "cleaned.jsonl", cleaned)
     print(f"cleaned {len(cleaned)} documents with {sum(r.enabled for r in rules)} active rules")
     return cleaned
 
@@ -215,7 +201,6 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
         cfg.min_abstract_chars,
     )
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest_scopes = []
     skipped = []
     for scope in scopes:
@@ -225,8 +210,8 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
             print(f"scope {scope} skipped: {outcome.skipped}")
             continue
         slug = _scope_slug(scope)
-        for fmt, ext in (("csv", "csv"), ("jsonl", "jsonl"), ("text", "txt")):
-            _write_atomic(out / f"report_{slug}.{ext}", emit_report(outcome.report, fmt))
+        for fmt, ext in FORMATS.items():
+            corpus.write_atomic(out / f"report_{slug}.{ext}", [emit_report(outcome.report, fmt)])
         manifest_scopes.append(
             {
                 "id": scope,
@@ -243,7 +228,7 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
         "scopes": manifest_scopes,
         "skipped": skipped,
     }
-    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -255,18 +240,14 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse
         raise FileNotFoundError(f"cannot read synthetic spec {spec_path!r}: {exc}") from exc
     if cfg.seed_given:
         spec = dataclasses.replace(spec, seed=cfg.seed)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if corpus_out:
         corpus_dir = Path(corpus_out)
-        corpus_dir.mkdir(parents=True, exist_ok=True)
         docs = synth.generate_corpus(spec, analysis.group_scheme)
         write_corpus_files(docs, corpus_dir)
         print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
 
     metrics = synth.evaluate_detector(spec, analysis, sims, rules)
-    _write_atomic(out / "metrics.json", json.dumps(dataclasses.asdict(metrics), indent=2, sort_keys=True) + "\n")
+    _write_json(Path(cfg.output_dir) / "metrics.json", dataclasses.asdict(metrics))
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
     return metrics
@@ -283,10 +264,10 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
         rec = d.to_record()
         text = {key: rec.pop(key) for key in ("abstract", "keywords")}
         meta = {"id": "m-" + d.id, "doi": rec["doi"], "title": rec["title"], "journal": rec["journal"], **text}
-        scores.append(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        metadata.append(json.dumps(meta, ensure_ascii=False, sort_keys=True) + "\n")
-    (directory / "scores.jsonl").write_text("".join(scores), encoding="utf-8")
-    (directory / "metadata.jsonl").write_text("".join(metadata), encoding="utf-8")
+        scores.append(rec)
+        metadata.append(meta)
+    corpus.write_atomic(directory / "scores.jsonl", map(corpus.json_line, scores))
+    corpus.write_atomic(directory / "metadata.jsonl", map(corpus.json_line, metadata))
 
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
@@ -294,7 +275,7 @@ def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
         scope_report = parse_jsonl(fh)
     rendered = emit_report(scope_report, fmt)
     if out_path:
-        _write_atomic(Path(out_path), rendered)
+        corpus.write_atomic(out_path, [rendered])
     else:
         sys.stdout.write(rendered)
     return rendered
@@ -340,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="re-render a JSONL report")
     p_rep.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-    p_rep.add_argument("--format", choices=("csv", "jsonl", "text"), default="text")
+    p_rep.add_argument("--format", choices=tuple(FORMATS), default="text")
     p_rep.add_argument("--out-file", dest="out_file", metavar="PATH")
 
     p_syn = sub.add_parser("synth", help="validate the detector on synthetic corpora")

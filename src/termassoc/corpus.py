@@ -3,7 +3,8 @@
 The corpus flows through this module as `Document` objects: score records and
 metadata records are parsed from JSON-lines, linked by DOI and then by a
 normalized title+journal key, merged, deduplicated per analysis scope, and
-finally filtered on score and cleaned-abstract length.
+finally filtered on score and cleaned-abstract length. Every file the CLI
+writes goes through `write_atomic`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import random
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 # The builtin module spares every process the OpenSSL that hashlib loads
@@ -166,8 +169,8 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
             Document(
                 id=str(raw["id"]),
                 doi=raw.get("doi"),
-                title=raw.get("title", ""),
-                journal=raw.get("journal", ""),
+                title=raw.get("title") or "",
+                journal=raw.get("journal") or "",
                 abstract_raw=raw.get("abstract", "") or "",
                 abstract_clean=raw.get("abstract_clean"),
                 keywords=list(raw.get("keywords") or []),
@@ -214,10 +217,31 @@ def read_json(path, what: str):
             raise ValueError(f"{what} {path}: invalid JSON: nested too deeply") from None
 
 
+def write_atomic(path, chunks: Iterable[str]):
+    """Stream text chunks into <path>.tmp, then rename it over path.
+
+    The parent directory is made if needed. A write that fails removes the
+    .tmp file, so path holds either its old content or all of the new.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def json_line(record: dict) -> str:
+    """One corpus record as a JSON-lines line: keys sorted, text kept as UTF-8."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def write_jsonl(path, docs: Iterable[Document]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_record(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_atomic(path, (json_line(doc.to_record()) for doc in docs))
 
 
 def _matches_type(value, hint) -> bool:
@@ -408,9 +432,10 @@ def merge_linked(score_records: list[Document], metadata: list[Document], link: 
     return merged
 
 
-def _tie_rng(seed: int, identity: str) -> random.Random:
-    digest = sha256(f"{seed}|{identity}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def derive_seed(seed: int, key) -> int:
+    """A 64-bit seed drawn from (seed, key), the same on every platform and run."""
+    digest = sha256(f"{seed}|{key}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) -> list[Document]:
@@ -457,7 +482,7 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
             if lo == hi:
                 score = lo
             else:
-                score = _tie_rng(seed, identity).choice((lo, hi))
+                score = random.Random(derive_seed(seed, identity)).choice((lo, hi))
         out.append(dataclasses.replace(keeper, score=score))
     return out
 

@@ -9,7 +9,6 @@ writing.
 from __future__ import annotations
 
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,8 +17,6 @@ from .corpus import Document, dedup_within_unit, filter_documents
 from .report import ScopeReport, build_scope_report
 from .stats import AnalysisConfig, TermResult, build_tables, compute_term_results
 from .textproc import extract_terms
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -31,10 +28,6 @@ class ScopeOutcome:
     threshold: Optional[float] = None
     group_sizes: list[int] = field(default_factory=list)
     skipped: Optional[str] = None
-
-
-def scope_kind(scope: str) -> str:
-    return scope.split(":", 1)[0]
 
 
 def select_scope(docs: list[Document], scope: str) -> list[Document]:
@@ -90,7 +83,9 @@ def analyze_scope(
     if not subset:
         return ScopeOutcome(scope, skipped="no documents in scope")
 
-    deduped = dedup_within_unit(subset, scope_kind(scope), config.seed)
+    # Every document of a unit: or panel: scope shares that unit or panel, so
+    # deduping the subset by identity alone ("all") gives the same groups.
+    deduped = dedup_within_unit(subset, "all", config.seed)
     filtered = filter_documents(deduped, min_abstract_chars)
     if not filtered.documents:
         return ScopeOutcome(scope, skipped="no documents after filtering")
@@ -122,10 +117,4 @@ def analyze_scopes(
 ) -> dict[str, ScopeOutcome]:
     """Clean every document once, then analyze the scopes one after another."""
     cleaned = clean_documents(docs, rules)
-    outcomes = {}
-    for scope in scopes:
-        outcome = analyze_scope(cleaned, scope, config, min_abstract_chars)
-        if outcome.skipped:
-            logger.warning("scope %s skipped: %s", scope, outcome.skipped)
-        outcomes[scope] = outcome
-    return outcomes
+    return {scope: analyze_scope(cleaned, scope, config, min_abstract_chars) for scope in scopes}

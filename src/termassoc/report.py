@@ -11,16 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
 from .corpus import check_json
 from .stats import TermResult
 
-logger = logging.getLogger(__name__)
-
-FORMATS = ("csv", "jsonl", "text")
+# Report format -> extension of the file it is written to.
+FORMATS = {"csv": "csv", "jsonl": "jsonl", "text": "txt"}
 
 
 @dataclass
@@ -58,9 +56,6 @@ class ScopeReport:
 
 def rank_terms(results: list, top_k: Optional[int] = None) -> list:
     """Sort by chi2 descending, ties by term; truncate when top_k is given."""
-    if not results:
-        logger.warning("ranking an empty result list")
-        return []
     ranked = sorted(results, key=lambda r: (-r.chi2, r.term))
     return ranked[:top_k] if top_k is not None else ranked
 
@@ -104,7 +99,7 @@ def build_scope_report(
     illustrative. Subsumption runs before truncation so the report still
     surfaces top_k distinct findings.
     """
-    ranked = rank_terms(results) if results else []
+    ranked = rank_terms(results)
     significant = [r for r in ranked if r.significant]
     pool, illustrative = (significant, False) if significant else (ranked, True)
     rows = [ReportRow.from_result(r, labels) for r in subsume(pool)[:top_k]]
@@ -230,4 +225,4 @@ def emit_report(report: ScopeReport, fmt: str) -> str:
         return render_jsonl(report)
     if fmt == "text":
         return render_text(report)
-    raise ValueError(f"unknown report format {fmt!r}; choose from {FORMATS}")
+    raise ValueError(f"unknown report format {fmt!r}; choose from {tuple(FORMATS)}")

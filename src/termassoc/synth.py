@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .cleanse import default_rules
-from .corpus import Document, GroupScheme, check_json, default_group_scheme, sha256
+from .corpus import Document, GroupScheme, check_json, default_group_scheme, derive_seed
 from .pipeline import analyze_scope, clean_documents
 from .stats import AnalysisConfig
 from .textproc import tokenize
@@ -103,11 +103,6 @@ def _in_vocabulary(token: str, size: int) -> bool:
 
 def _capitalize(sentence: str) -> str:
     return sentence[0].upper() + sentence[1:] if sentence else sentence
-
-
-def derive_seed(seed: int, index) -> int:
-    digest = sha256(f"{seed}|{index}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def generate_corpus(spec: SyntheticSpec, scheme: Optional[GroupScheme] = None) -> list[Document]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import termassoc
-from termassoc import cleanse
+from termassoc import cleanse, corpus
 from termassoc.cli import PipelineConfig, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -140,6 +140,66 @@ def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     assert "malformed" not in capsys.readouterr().err
     merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
     assert [(d["id"], d["keywords"]) for d in merged] == [("r1", [])]
+
+
+def test_analyze_null_title_and_journal_mean_empty(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(jsonl(*(
+        {"id": f"r{score}", "doi": f"10.1/{score}", "title": None, "journal": None, "unit": "3", "score": score,
+         "abstract": f"Alpha rises {score}."} for score in (1, 3, 4))))
+    out = tmp_path / "out"
+    assert run_cli("analyze", "--in", str(corpus_path), "--out", str(out), "--scopes", "all",
+                   "--min-df", "1", "--min-abstract-chars", "0") == 0
+    assert "scope all: " in capsys.readouterr().out
+    assert (out / "report_all.csv").exists()
+
+
+def test_pipeline_null_title_in_both_records_means_empty(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    metadata = tmp_path / "m.jsonl"
+    scores.write_text(jsonl(*({"id": f"r{score}", "doi": f"10.1/{score}", "title": None, "unit": "3",
+                               "score": score} for score in (1, 3, 4))))
+    metadata.write_text(jsonl(*({"id": f"m{score}", "doi": f"10.1/{score}", "title": None, "journal": None,
+                                 "abstract": f"Alpha rises {score}."} for score in (1, 3, 4))))
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out),
+                   "--scopes", "all", "--min-df", "1", "--min-abstract-chars", "0") == 0
+    merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
+    assert {(d["title"], d["journal"]) for d in merged} == {("", "")}
+    assert (out / "report_all.csv").exists()
+
+
+def test_failed_write_leaves_no_partial_corpus(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ("link", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),
+            "--out", str(out))
+    real_to_record = corpus.Document.to_record
+    calls = []
+
+    def failing_to_record(doc):
+        calls.append(doc.id)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        return real_to_record(doc)
+
+    monkeypatch.setattr(corpus.Document, "to_record", failing_to_record)
+    assert run_cli(*argv) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert not (out / "merged.jsonl").exists()
+    assert not list(out.glob("*.tmp"))
+
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0
+    assert not list(out.glob("*.tmp"))
+    written = (out / "merged.jsonl").read_bytes()
+    assert len(written.splitlines()) > 3
+
+    # A failed rewrite keeps the whole file a clean run wrote.
+    calls.clear()
+    monkeypatch.setattr(corpus.Document, "to_record", failing_to_record)
+    assert run_cli(*argv) == 1
+    assert (out / "merged.jsonl").read_bytes() == written
+    assert not list(out.glob("*.tmp"))
 
 
 def test_link_non_string_keywords_are_a_malformed_record(tmp_path, capsys, caplog):

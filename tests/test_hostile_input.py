@@ -27,6 +27,13 @@ METADATA = [
     {"id": "m2", "doi": "10.1/b", "title": "Beta study", "journal": "J", "abstract": "Beta falls. Alpha rises."},
     {"id": "m3", "title": "Gamma study", "journal": "J", "abstract": "Gamma stays.", "keywords": []},
 ]
+CORPUS = [
+    {"id": "r1", "doi": "10.1/a", "title": "Alpha study", "journal": "J", "abstract": "Alpha rises. Beta falls.",
+     "keywords": ["alpha"], "unit": "3", "panel": "A", "score": 4, "submitter": "s1"},
+    {"id": "r2", "doi": "10.1/b", "title": "Beta study", "journal": "J", "abstract": "Beta falls. Alpha rises.",
+     "abstract_clean": "Beta falls.", "keywords": [], "unit": "3", "score": 1},
+    {"id": "r3", "title": "Gamma study", "journal": "J", "abstract": "Gamma stays.", "unit": "3", "score": 3},
+]
 RULES = [{"kind": "suffix_strip", "pattern": "©.*", "enabled": True},
          {"kind": "pattern_delete", "pattern": "falls", "enabled": False}]
 CONFIG = {"seed": 1, "alpha": 0.05, "n_max": 2, "min_df": 1, "top_k": 5, "min_abstract_chars": 0,
@@ -41,6 +48,7 @@ REPORT = [{"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "ter
 
 # Each input, as a file name and its valid content; JSON-lines inputs are lists of records.
 INPUTS = {"scores": ("scores.jsonl", SCORES), "metadata": ("metadata.jsonl", METADATA),
+          "corpus": ("corpus.jsonl", CORPUS),
           "rules": ("rules.json", RULES), "config": ("config.json", CONFIG),
           "spec": ("spec.json", SPEC), "report": ("report.jsonl", REPORT)}
 
@@ -94,6 +102,8 @@ def _argv(target: str, d: Path, fmt: str) -> list[str]:
         return ["synth", "--spec", str(d / "spec.json"), "--sims", "1", "--min-df", "1"]
     if target == "report":
         return ["report", "--in", str(d / "report.jsonl"), "--format", fmt]
+    if target == "corpus":
+        return ["analyze", "--in", str(d / "corpus.jsonl"), "--config", str(d / "config.json")]
     # The config names the rules and inputs, so its path fields are fuzzed too.
     return ["pipeline", "--config", str(d / "config.json")]
 

@@ -3,7 +3,7 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 import termassoc.pipeline as pipeline
-from termassoc.corpus import Document
+from termassoc.corpus import Document, dedup_within_unit
 from termassoc.report import emit_report
 from termassoc.stats import AnalysisConfig
 
@@ -96,6 +96,17 @@ def scope_facts(docs, scope):
     outcome = pipeline.analyze_scope(pipeline.clean_documents(docs, []), scope, config, MIN_ABSTRACT_CHARS)
     reports = [emit_report(outcome.report, fmt) for fmt in ("csv", "jsonl", "text")]
     return reports, outcome.group_sizes, outcome.m, outcome.threshold
+
+
+@given(scope_inputs())
+def test_scope_dedup_by_identity_equals_dedup_by_scope_kind(inputs):
+    # analyze_scope dedups a unit: or panel: scope by identity alone.
+    docs, shuffled = inputs
+    for scope in ("unit:1", "unit:2", "panel:A"):
+        kind = scope.partition(":")[0]
+        for order in (docs, shuffled):
+            subset = pipeline.select_scope(order, scope)
+            assert dedup_within_unit(subset, "all", 7) == dedup_within_unit(subset, kind, 7)
 
 
 @given(scope_inputs())

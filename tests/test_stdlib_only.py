@@ -84,6 +84,41 @@ def test_runtime_imports_only_the_standard_library():
     assert not foreign, foreign
 
 
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the module never references.
+
+    A name counts as referenced when it appears as a bare name anywhere in the
+    module, the left end of an attribute chain such as `os.path.join` included.
+    """
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append((node.lineno, name))
+    return unused
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        unused += [f"{path.relative_to(PACKAGE)}:{line}: {name}" for line, name in _unused_imports(tree)]
+    assert not unused, unused
+
+
+def test_unused_import_check_sees_bindings_not_modules():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as j\nimport sys, logging\n"
+        "from typing import Optional\nx: Optional[int] = os.path.join(sys.argv[0])\n"
+    )
+    assert _unused_imports(tree) == [(3, "j"), (4, "logging")]
+
+
 def test_a_guarded_import_needs_a_stdlib_fallback():
     good = ast.parse(
         "try:\n    from _nosuchmod import f\nexcept ImportError:\n    from hashlib import f\n"
