@@ -135,11 +135,14 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     continues; nothing is silently dropped. A repeated id is malformed: the
     later record is reported and skipped. Records missing an abstract parse
     with empty text and a warning, so linkage statistics stay computable.
+    Records of one stream share one string per distinct journal, unit,
+    panel, submitter or keyword.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
     warnings: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}   # id -> line it first appeared on
+    share = {}.setdefault   # these field values repeat across records: keep one string each
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -165,19 +168,24 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
         first_line[raw["id"]] = lineno
         if "abstract" not in raw:
             warnings.append((lineno, f"record {raw['id']!r} has no abstract; using empty text"))
+        journal = raw.get("journal") or ""
+        unit = raw.get("unit") or ""
+        panel = raw.get("panel") or ""
+        submitter = raw.get("submitter") or ""
+        keywords = raw.get("keywords") or ()
         documents.append(
             Document(
-                id=str(raw["id"]),
+                id=raw["id"],
                 doi=raw.get("doi"),
                 title=raw.get("title") or "",
-                journal=raw.get("journal") or "",
+                journal=share(journal, journal),
                 abstract_raw=raw.get("abstract", "") or "",
                 abstract_clean=raw.get("abstract_clean"),
-                keywords=list(raw.get("keywords") or []),
-                unit=str(raw.get("unit", "") or ""),
-                panel=str(raw.get("panel", "") or ""),
+                keywords=list(map(share, keywords, keywords)),
+                unit=share(unit, unit),
+                panel=share(panel, panel),
                 score=raw.get("score"),
-                submitter=str(raw.get("submitter", "") or ""),
+                submitter=share(submitter, submitter),
             )
         )
     return ParseResult(documents, errors, warnings)

@@ -8,7 +8,6 @@ writing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,7 +64,12 @@ def expand_scopes(docs: list[Document], requested: list[str]) -> list[str]:
 
 def clean_documents(docs: list[Document], rules: list[CleaningRule]) -> list[Document]:
     """Copies of docs with abstract_clean set from abstract_raw by the rules."""
-    return [dataclasses.replace(d, abstract_clean=clean_abstract(d.abstract_raw, rules)) for d in docs]
+    # One positional call per copy: dataclasses.replace costs about four times as much.
+    return [
+        Document(d.id, d.doi, d.title, d.journal, d.abstract_raw, clean_abstract(d.abstract_raw, rules),
+                 d.keywords, d.unit, d.panel, d.score, d.submitter)
+        for d in docs
+    ]
 
 
 def analyze_scope(
@@ -101,7 +105,9 @@ def analyze_scope(
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
         return ScopeOutcome(scope, skipped=f"empty group(s) {empty}", group_sizes=sizes)
 
-    term_sets = [extract_terms(doc, config.n_max) for doc in filtered.documents]
+    # One token table per scope: its term sets share one string per distinct token.
+    vocab: dict[str, str] = {}
+    term_sets = [extract_terms(doc, config.n_max, vocab) for doc in filtered.documents]
     tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
     results, m, threshold = compute_term_results(tables, scheme.labels, config.alpha)
     report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)

@@ -54,10 +54,9 @@ class ScopeReport:
     illustrative: bool
 
 
-def rank_terms(results: list, top_k: Optional[int] = None) -> list:
-    """Sort by chi2 descending, ties by term; truncate when top_k is given."""
-    ranked = sorted(results, key=lambda r: (-r.chi2, r.term))
-    return ranked[:top_k] if top_k is not None else ranked
+def rank_terms(results: list) -> list:
+    """Sort by chi2 descending, ties by term."""
+    return sorted(results, key=lambda r: (-r.chi2, r.term))
 
 
 def _proper_subgrams(tokens: tuple[str, ...]) -> Iterable[str]:

@@ -9,13 +9,17 @@ The splitting and tokenizing rules are those stated in `split_sentences` and
 `tokenize`. The splitter tests only the '.', '!' or '?' that one regex scan
 finds followed by whitespace; the tests check it against a character-by-character
 reference implementation of the same rule.
+
+`extract_terms` passes every token through a `vocab` dict that holds one
+string per distinct token: the term sets of all documents given the same
+dict share those strings instead of each holding its own copies.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .corpus import Document
 
@@ -95,11 +99,16 @@ def iter_ngrams(tokens: list[str], n_max: int) -> Iterator[str]:
             yield gram
 
 
-def extract_terms(doc: Document, n_max: int = 5) -> DocTermSet:
-    """Token units of the title, abstract sentences and keywords; empty units dropped."""
+def extract_terms(doc: Document, n_max: int = 5, vocab: Optional[dict[str, str]] = None) -> DocTermSet:
+    """Token units of the title, abstract sentences and keywords; empty units dropped.
+
+    Each token is replaced by the string `vocab` already holds for it, which
+    is added when new; None stands for a fresh dict.
+    """
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
+    share = ({} if vocab is None else vocab).setdefault
     units = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-    return DocTermSet([tokens for tokens in map(tokenize, units) if tokens], n_max)
+    return DocTermSet([list(map(share, tokens, tokens)) for tokens in map(tokenize, units) if tokens], n_max)

@@ -46,6 +46,17 @@ def test_parse_round_trip_all_fields():
     assert (doc.unit, doc.panel, doc.score, doc.submitter) == ("3", "A", 4, "uni-x")
 
 
+def test_parse_shares_repeated_field_strings():
+    recs = [{"id": f"r{i}", "journal": "Journal of Tests", "unit": "12", "submitter": "uni-x",
+             "keywords": ["shared phrase", f"own phrase {i}"]} for i in range(2)]
+    first, second = parse_records(lines(*recs)).documents
+    for name in ("journal", "unit", "submitter"):
+        assert getattr(first, name) == getattr(second, name) == recs[0][name]
+        assert getattr(first, name) is getattr(second, name)
+    assert (first.keywords, second.keywords) == (recs[0]["keywords"], recs[1]["keywords"])
+    assert first.keywords[0] is second.keywords[0]
+
+
 def test_parse_missing_abstract_warns_and_defaults_empty():
     parsed = parse_records(lines({"id": "r1", "score": 3, "unit": "2"}))
     (doc,) = parsed.documents

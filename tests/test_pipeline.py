@@ -1,8 +1,10 @@
+import dataclasses
 from collections import Counter
 
 from hypothesis import given, strategies as st
 
 import termassoc.pipeline as pipeline
+from termassoc.cleanse import clean_abstract
 from termassoc.corpus import Document, dedup_within_unit
 from termassoc.report import emit_report
 from termassoc.stats import AnalysisConfig
@@ -60,6 +62,34 @@ def test_group_sizes_count_documents_not_ids():
     outcome = pipeline.analyze_scopes(two_units_sharing_an_id(), ["all"], CONFIG, [], 0)["all"]
     assert outcome.results
     assert all(r.table.group_sizes == tuple(outcome.group_sizes) == (2, 2, 2) for r in outcome.results)
+
+
+def test_scope_term_sets_share_one_string_per_token(monkeypatch):
+    seen = []
+    real_build_tables = pipeline.build_tables
+
+    def capturing_build_tables(term_sets, *args):
+        seen.append(term_sets)
+        return real_build_tables(term_sets, *args)
+
+    monkeypatch.setattr(pipeline, "build_tables", capturing_build_tables)
+    outcome = pipeline.analyze_scope(pipeline.clean_documents(two_units_sharing_an_id(), []), "unit:1", CONFIG, 0)
+    (term_sets,) = seen
+    assert [ts.units for ts in term_sets] == [[["apple", "red"]], [["apple", "green"]], [["apple", "ripe"]]]
+    first, second, third = (ts.units[0][0] for ts in term_sets)
+    assert first is second is third
+    assert words(outcome) == {"apple", "red", "green", "ripe"}
+
+
+def test_clean_documents_keeps_every_field_but_the_clean_abstract():
+    values = {"id": "d7", "doi": "10.1/x", "title": "A title", "journal": "A journal",
+              "abstract_raw": "Raw  text here.", "abstract_clean": "stale", "keywords": ["k one"],
+              "unit": "12", "panel": "C", "score": 3, "submitter": "uni-y"}
+    # Every declared field is set to a value of its own, so a field the copy drops or moves shows.
+    assert set(values) == {f.name for f in dataclasses.fields(Document)}
+    (copy,) = pipeline.clean_documents([Document(**values)], [])
+    expected = dict(values, abstract_clean=clean_abstract(values["abstract_raw"], []))
+    assert {name: getattr(copy, name) for name in values} == expected
 
 
 SENTENCE = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=6).map(

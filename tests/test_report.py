@@ -38,7 +38,7 @@ def result(term, chi2, direction="4", significant=True, present=(1, 2, 7)):
 def test_rank_orders_by_chi2_then_term():
     rng = random.Random(0)
     results = [result(f"t{i}", rng.randint(0, 40)) for i in range(100)]
-    ranked = rank_terms(results, 50)
+    ranked = rank_terms(results)[:50]
     assert len(ranked) == 50
     chis = [r.chi2 for r in ranked]
     assert chis == sorted(chis, reverse=True)
@@ -50,9 +50,9 @@ def test_rank_tie_breaks_lexicographically():
 
 
 def test_rank_truncation_bound():
-    ranked = rank_terms([result(f"t{i}", i) for i in range(10)], 50)
+    ranked = rank_terms([result(f"t{i}", i) for i in range(10)])
     assert len(ranked) == 10
-    assert rank_terms([], 50) == []
+    assert rank_terms([]) == []
 
 
 # --------------------------------------------------------------------- subsume

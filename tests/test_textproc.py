@@ -227,6 +227,19 @@ def test_extract_nmax_bounds_and_missing_clean():
         extract_terms(raw_only, 5)
 
 
+def test_extract_shares_one_string_per_token_through_vocab():
+    vocab = {}
+    first = extract_terms(make_doc("Shared words here."), 2, vocab)
+    second = extract_terms(make_doc("Other shared words."), 2, vocab)
+    assert first.units == [["shared", "words", "here"]]
+    assert second.units == [["other", "shared", "words"]]
+    assert first.units[0][0] is second.units[0][1]
+    assert first.units[0][1] is second.units[0][2]
+    assert vocab == {token: token for token in ("shared", "words", "here", "other")}
+    # Without a table each call keeps its own strings, with the same terms.
+    assert extract_terms(make_doc("Shared words here."), 2).terms == first.terms
+
+
 def test_extract_respects_nmax_length():
     doc = make_doc("one two three four five six")
     terms = extract_terms(doc, 3).terms
