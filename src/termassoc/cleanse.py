@@ -20,11 +20,37 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .corpus import check_json, read_json
 
-RULE_KINDS = ("prefix_strip", "suffix_strip", "pattern_delete", "heading_strip")
+
+def _cut_prefix(regex: re.Pattern, text: str) -> str:
+    m = regex.match(text)
+    return text[m.end():] if m else text
+
+
+def _cut_suffix(regex: re.Pattern, text: str) -> str:
+    m = regex.search(text)
+    return text[: m.start()] if m else text
+
+
+def _heading_regex(pattern: str) -> re.Pattern:
+    label = f"(?:{pattern})\\s*:"
+    return re.compile(f"{label}.*?(?={label}|\\Z)", re.DOTALL)
+
+
+# Rule kind -> a function that makes, from a rule's pattern, the function applying it to a text.
+# The deleting kinds substitute a space so adjacent words never fuse; the
+# whitespace collapse after the rules tidies up.
+_APPLIERS = {
+    "prefix_strip": lambda pattern: partial(_cut_prefix, re.compile(pattern)),
+    "suffix_strip": lambda pattern: partial(_cut_suffix, re.compile(f"(?:{pattern})\\s*\\Z", re.DOTALL)),
+    "pattern_delete": lambda pattern: partial(re.compile(pattern).sub, " "),
+    "heading_strip": lambda pattern: partial(_heading_regex(pattern).sub, " "),
+}
+RULE_KINDS = tuple(_APPLIERS)
 
 
 class RuleConfigError(ValueError):
@@ -46,27 +72,10 @@ class CleaningRule:
             raise RuleConfigError(f"invalid pattern {self.pattern!r}: {exc}") from exc
         if compiled.search("") is not None:
             raise RuleConfigError(f"pattern {self.pattern!r} matches the empty string")
-        self._regex = _compile_for_kind(self.kind, self.pattern)
+        self._apply = _APPLIERS[self.kind](self.pattern)
 
     def apply(self, text: str) -> str:
-        if self.kind == "prefix_strip":
-            m = self._regex.match(text)
-            return text[m.end():] if m else text
-        if self.kind == "suffix_strip":
-            m = self._regex.search(text)
-            return text[: m.start()] if m else text
-        # pattern_delete and heading_strip both substitute with a space so
-        # adjacent words never fuse; whitespace collapse tidies up afterwards.
-        return self._regex.sub(" ", text)
-
-
-def _compile_for_kind(kind: str, pattern: str):
-    if kind == "suffix_strip":
-        return re.compile(f"(?:{pattern})\\s*\\Z", re.DOTALL)
-    if kind == "heading_strip":
-        label = f"(?:{pattern})\\s*:"
-        return re.compile(f"{label}.*?(?={label}|\\Z)", re.DOTALL)
-    return re.compile(pattern)
+        return self._apply(text)
 
 
 def clean_abstract(text: str, rules: list[CleaningRule]) -> str:

@@ -121,8 +121,20 @@ def _read_documents(path: str, label: str) -> list[corpus.Document]:
     return parsed.documents
 
 
-def _scope_slug(scope: str) -> str:
-    return scope.replace(":", "_")
+def _report_stems(scopes: list[str]) -> dict[str, str]:
+    """Scope id -> the name its report files share, before their extension.
+
+    Unit and panel ids come from the data, so each name must be one plain
+    file name, and no two scopes may share one.
+    """
+    stems = {scope: "report_" + scope.replace(":", "_") for scope in scopes}
+    owner: dict[str, str] = {}
+    for scope, stem in stems.items():
+        if Path(stem).name != stem or "\0" in stem:
+            raise ValueError(f"scope {scope!r} cannot name a report file: {stem!r} is not a plain file name")
+        if owner.setdefault(stem, scope) != scope:
+            raise ValueError(f"scopes {owner[stem]!r} and {scope!r} would both write {stem}.*")
+    return stems
 
 
 def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Document]]:
@@ -193,13 +205,8 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
     scopes = pipeline.expand_scopes(docs, cfg.scopes)
     if not scopes:
         raise ValueError("no scopes to analyze")
-    outcomes = pipeline.analyze_scopes(
-        docs,
-        scopes,
-        analysis,
-        rules,
-        cfg.min_abstract_chars,
-    )
+    stems = _report_stems(scopes)
+    outcomes = pipeline.analyze_scopes(docs, scopes, analysis, rules, cfg.min_abstract_chars)
     out = Path(cfg.output_dir)
     manifest_scopes = []
     skipped = []
@@ -209,25 +216,14 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
             skipped.append({"id": scope, "reason": outcome.skipped})
             print(f"scope {scope} skipped: {outcome.skipped}")
             continue
-        slug = _scope_slug(scope)
-        for fmt, ext in FORMATS.items():
-            corpus.write_atomic(out / f"report_{slug}.{ext}", [emit_report(outcome.report, fmt)])
-        manifest_scopes.append(
-            {
-                "id": scope,
-                "n_docs": outcome.group_sizes,
-                "m": outcome.m,
-                "threshold": outcome.threshold,
-            }
-        )
+        for fmt, (ext, _) in FORMATS.items():
+            corpus.write_atomic(out / f"{stems[scope]}.{ext}", [emit_report(outcome.report, fmt)])
+        manifest_scopes.append({"id": scope, "n_docs": outcome.group_sizes, "m": outcome.m,
+                                "threshold": outcome.threshold})
         flag = " (illustrative)" if outcome.report.illustrative else ""
         print(f"scope {scope}: {len(outcome.report.rows)} term(s), m={outcome.m}{flag}")
-    manifest = {
-        "config_hash": cfg.config_hash(rules),
-        "seed": cfg.seed,
-        "scopes": manifest_scopes,
-        "skipped": skipped,
-    }
+    manifest = {"config_hash": cfg.config_hash(rules), "seed": cfg.seed, "scopes": manifest_scopes,
+                "skipped": skipped}
     _write_json(out / "manifest.json", manifest)
     return manifest
 
@@ -281,61 +277,58 @@ def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
     return rendered
 
 
+# Every flag the CLI takes, with its argparse settings.
+FLAGS = {
+    "--config": dict(metavar="PATH", help="JSON config file"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--scopes": dict(type=_comma_list, help="comma list: units, panels, all, unit:<u>, panel:<p>"),
+    "--nmax": dict(dest="n_max", type=int, help="maximum phrase length in tokens"),
+    "--alpha": dict(type=float, help="family significance level"),
+    "--top-k": dict(dest="top_k", type=int, help="terms per report"),
+    "--min-df": dict(dest="min_df", type=int, help="minimum documents per term"),
+    "--threads": dict(type=int, help="accepted for compatibility; scopes run one at a time"),
+    "--rules": dict(metavar="PATH", help="cleaning rules JSON"),
+    "--out": dict(dest="output_dir", metavar="DIR", help="output directory"),
+    "--scores": dict(metavar="PATH"),
+    "--metadata": dict(metavar="PATH"),
+    "--min-abstract-chars": dict(dest="min_abstract_chars", type=int),
+    "--in": dict(dest="in_path", required=True, metavar="PATH", help="input JSON-lines file"),
+    "--scope": dict(choices=("unit", "panel", "all"), default="unit"),
+    "--format": dict(choices=tuple(FORMATS), default="text"),
+    "--out-file": dict(dest="out_file", metavar="PATH"),
+    "--spec": dict(required=True, metavar="PATH", help="synthetic corpus spec JSON"),
+    "--sims": dict(type=int, default=20),
+    "--corpus-out": dict(dest="corpus_out", metavar="DIR",
+                         help="also write one generated corpus as scores/metadata files"),
+}
+
+_ANALYSIS_FLAGS = "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out"
+
+# Subcommand -> (help, the flags it reads). main builds the analysis config,
+# the rules and the scope check before any stage writes for the commands that
+# read --nmax, --rules and --scopes respectively.
+COMMANDS = {
+    "link": ("match score records to metadata", "--config --out --scores --metadata"),
+    "dedup": ("collapse multiply-submitted articles", "--config --seed --out --in --scope"),
+    "clean": ("strip journal boilerplate from abstracts", "--config --rules --out --in"),
+    "analyze": ("run the statistical analysis per scope", f"{_ANALYSIS_FLAGS} --in --min-abstract-chars"),
+    "report": ("re-render a JSONL report", "--in --format --out-file"),
+    "synth": ("validate the detector on synthetic corpora",
+              "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out"),
+    "pipeline": ("link then analyze in one go", f"{_ANALYSIS_FLAGS} --scores --metadata --min-abstract-chars"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="termassoc",
         description="Find words and phrases that associate with document quality grades.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--scopes", type=_comma_list, help="comma list: units, panels, all, unit:<u>, panel:<p>")
-        p.add_argument("--nmax", dest="n_max", type=int, help="maximum phrase length in tokens")
-        p.add_argument("--alpha", type=float, help="family significance level")
-        p.add_argument("--top-k", dest="top_k", type=int, help="terms per report")
-        p.add_argument("--min-df", dest="min_df", type=int, help="minimum documents per term")
-        p.add_argument("--threads", type=int, help="accepted for compatibility; scopes run one at a time")
-        p.add_argument("--rules", metavar="PATH", help="cleaning rules JSON")
-        p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
-
-    p_link = sub.add_parser("link", help="match score records to metadata")
-    common(p_link)
-    p_link.add_argument("--scores", metavar="PATH")
-    p_link.add_argument("--metadata", metavar="PATH")
-
-    p_dedup = sub.add_parser("dedup", help="collapse multiply-submitted articles")
-    common(p_dedup)
-    p_dedup.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-    p_dedup.add_argument("--scope", choices=("unit", "panel", "all"), default="unit")
-
-    p_clean = sub.add_parser("clean", help="strip journal boilerplate from abstracts")
-    common(p_clean)
-    p_clean.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-
-    p_an = sub.add_parser("analyze", help="run the statistical analysis per scope")
-    common(p_an)
-    p_an.add_argument("--in", dest="in_path", required=True, metavar="PATH", help="merged corpus JSONL")
-    p_an.add_argument("--min-abstract-chars", dest="min_abstract_chars", type=int)
-
-    p_rep = sub.add_parser("report", help="re-render a JSONL report")
-    p_rep.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-    p_rep.add_argument("--format", choices=tuple(FORMATS), default="text")
-    p_rep.add_argument("--out-file", dest="out_file", metavar="PATH")
-
-    p_syn = sub.add_parser("synth", help="validate the detector on synthetic corpora")
-    common(p_syn)
-    p_syn.add_argument("--spec", required=True, metavar="PATH", help="synthetic corpus spec JSON")
-    p_syn.add_argument("--sims", type=int, default=20)
-    p_syn.add_argument("--corpus-out", dest="corpus_out", metavar="DIR",
-                       help="also write one generated corpus as scores/metadata files")
-
-    p_pipe = sub.add_parser("pipeline", help="link then analyze in one go")
-    common(p_pipe)
-    p_pipe.add_argument("--scores", metavar="PATH")
-    p_pipe.add_argument("--metadata", metavar="PATH")
-    p_pipe.add_argument("--min-abstract-chars", dest="min_abstract_chars", type=int)
+    for command, (text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -348,11 +341,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
         # Reject bad analysis values, rules and scope specifiers before any stage writes.
-        if args.command in ("analyze", "synth", "pipeline"):
+        reads = COMMANDS[args.command][1].split()
+        if "--nmax" in reads:
             analysis = cfg.analysis_config()
-        if args.command in ("clean", "analyze", "synth", "pipeline"):
+        if "--rules" in reads:
             rules = cfg.load_rules()
-        if args.command in ("analyze", "pipeline"):
+        if "--scopes" in reads:
             pipeline.check_scopes(cfg.scopes)
         if args.command == "link":
             run_link(cfg)

@@ -17,9 +17,6 @@ from typing import Iterable, Optional
 from .corpus import check_json
 from .stats import TermResult
 
-# Report format -> extension of the file it is written to.
-FORMATS = {"csv": "csv", "jsonl": "jsonl", "text": "txt"}
-
 
 @dataclass
 class ReportRow:
@@ -216,12 +213,12 @@ def render_text(report: ScopeReport) -> str:
     return "\n".join(out) + "\n"
 
 
+# Report format -> (extension of the file it is written to, renderer).
+FORMATS = {"csv": ("csv", render_csv), "jsonl": ("jsonl", render_jsonl), "text": ("txt", render_text)}
+
+
 def emit_report(report: ScopeReport, fmt: str) -> str:
     """Serialize a report as 'csv', 'jsonl' or 'text'."""
-    if fmt == "csv":
-        return render_csv(report)
-    if fmt == "jsonl":
-        return render_jsonl(report)
-    if fmt == "text":
-        return render_text(report)
-    raise ValueError(f"unknown report format {fmt!r}; choose from {tuple(FORMATS)}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; choose from {tuple(FORMATS)}")
+    return FORMATS[fmt][1](report)

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from termassoc import cleanse, corpus
 from termassoc.cli import PipelineConfig, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -407,6 +410,33 @@ def test_pipeline_bad_scope_specifier_fails_before_writing(tmp_path, capsys, sco
     assert list(out.iterdir()) == []
 
 
+def run_pipeline_with_units(tiny, out, *units):
+    scores, metadata = tiny
+    records = [json.loads(line) for line in scores.read_text().splitlines()]
+    for record, unit in zip(records, units):
+        record["unit"] = unit
+    scores.write_text(jsonl(*records))
+    return run_cli("pipeline", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out),
+                   "--scopes", "units", "--min-abstract-chars", "0", "--min-df", "2")
+
+
+@pytest.mark.parametrize("unit", ["x/../../../escaped", "x/", "x\0escaped"])
+def test_scope_that_names_no_plain_file_is_an_error(tiny, tmp_path, capsys, unit):
+    out = tmp_path / "a" / "b" / "deep"
+    assert run_pipeline_with_units(tiny, out, "a", unit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scope {'unit:' + unit!r} cannot name a report file")
+    assert not list(tmp_path.rglob("escaped*"))
+    assert sorted(p.name for p in out.iterdir()) == ["link_report.csv", "link_summary.json", "merged.jsonl"]
+
+
+def test_scopes_that_name_the_same_files_are_an_error(tiny, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_pipeline_with_units(tiny, out, "a:b", "a_b", "a_b") == 1
+    assert capsys.readouterr().err == "error: scopes 'unit:a:b' and 'unit:a_b' would both write report_unit_a_b.*\n"
+    assert sorted(p.name for p in out.iterdir()) == ["link_report.csv", "link_summary.json", "merged.jsonl"]
+
+
 def test_missing_input_file_nonzero_exit(tmp_path, capsys):
     rc = run_cli("link", "--scores", str(tmp_path / "nope.jsonl"),
                  "--metadata", str(tmp_path / "also-nope.jsonl"), "--out", str(tmp_path / "o"))
@@ -474,8 +504,9 @@ def test_stage_subcommands_chain(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_stage_subcommands_ignore_analysis_values(tmp_path):
-    # link, dedup and clean read no analysis value, so a bad one does not stop them.
+def test_stage_subcommands_ignore_analysis_values(tmp_path, capsys):
+    # link, dedup and clean read no analysis value: a bad one in the config file
+    # does not stop them, and they take no analysis flag.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_max": 9, "min_df": 0, "groups": [1, 2]}))
     out = tmp_path / "out"
@@ -483,8 +514,82 @@ def test_stage_subcommands_ignore_analysis_values(tmp_path):
                    "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out)) == 0
     assert run_cli("dedup", "--config", str(cfg_path), "--in", str(out / "merged.jsonl"),
                    "--scope", "unit", "--out", str(out)) == 0
-    assert run_cli("clean", "--in", str(out / "deduped.jsonl"), "--out", str(out), "--min-df", "0") == 0
+    assert run_cli("clean", "--config", str(cfg_path), "--in", str(out / "deduped.jsonl"), "--out", str(out)) == 0
     assert (out / "cleaned.jsonl").exists()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("clean", "--in", str(out / "deduped.jsonl"), "--out", str(out), "--min-df", "0")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min-df 0" in capsys.readouterr().err
+
+
+# The flags each subcommand reads, as the README's table lists them.
+SUBCOMMAND_FLAGS = {
+    "link": "--config --out --scores --metadata",
+    "dedup": "--config --seed --out --in --scope",
+    "clean": "--config --rules --out --in",
+    "analyze": "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out --in "
+               "--min-abstract-chars",
+    "report": "--in --format --out-file",
+    "synth": "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out",
+    "pipeline": "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out --scores "
+                "--metadata --min-abstract-chars",
+}
+ANALYSIS_FLAGS = "--seed --scopes --nmax --alpha --top-k --min-df --threads --rules".split()
+
+
+def help_flags(command, capsys) -> list[str]:
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("options:")[0]
+    return [flag for flag in re.findall(r"--[a-z-]+", usage) if flag != "--help"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_help_lists_exactly_the_flags_a_subcommand_reads(command, capsys):
+    assert help_flags(command, capsys) == SUBCOMMAND_FLAGS[command].split()
+
+
+# (subcommand, flag) pairs of analysis flags that the subcommand does not read.
+REMOVED_FLAGS = ([("link", flag) for flag in ANALYSIS_FLAGS]
+                 + [("dedup", flag) for flag in ANALYSIS_FLAGS if flag != "--seed"]
+                 + [("clean", flag) for flag in ANALYSIS_FLAGS if flag != "--rules"]
+                 + [("synth", flag) for flag in ("--scopes", "--top-k", "--threads")])
+REQUIRED = {"link": [], "dedup": ["--in", "x.jsonl"], "clean": ["--in", "x.jsonl"], "synth": ["--spec", "x.json"]}
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *REQUIRED[command], "--out", str(tmp_path / "out"), flag, "1")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_51_flag_slots_and_25_analysis_flags_fewer():
+    assert len(REMOVED_FLAGS) == 25
+    assert sum(len(flags.split()) for flags in SUBCOMMAND_FLAGS.values()) == 51
+    assert not any(flag in SUBCOMMAND_FLAGS[command].split() for command, flag in REMOVED_FLAGS)
+
+
+def readme_commands() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S)).replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in code.splitlines() if line.startswith("termassoc ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_lines_parse(argv):
+    build_parser().parse_args(argv)
+
+
+def test_readme_documents_commands_and_a_flag_table(capsys):
+    assert {argv[0] for argv in readme_commands()} == set(SUBCOMMAND_FLAGS)
+    text = README.read_text(encoding="utf-8")
+    table = {row[0]: row[1] for row in re.findall(r"^\| `([a-z]+)` \| (.*) \|$", text, re.M)}
+    assert {command: re.findall(r"`(--[a-z-]+)`", flags) for command, flags in table.items()} == \
+        {command: help_flags(command, capsys) for command in SUBCOMMAND_FLAGS}
 
 
 def test_report_rerender(tmp_path, capsys):
