@@ -1,9 +1,11 @@
-"""Orchestration: clean once, then per scope dedup -> filter -> extract -> stats -> report.
+"""Orchestration: clean and tokenize once, then per scope dedup -> filter -> extract -> stats -> report.
 
 Scopes are identified as "unit:<code>", "panel:<letter>" or "all". Every stage
 is deterministic for a fixed seed, and scope outcomes are independent of each
 other; scopes run one at a time and outputs are canonically ordered before
-writing.
+writing. A run shares one token table and one memo of token units across its
+scopes, so a document's text is tokenized in the first scope that extracts it
+and reused by every later one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .cleanse import CleaningRule, clean_abstract
 from .corpus import Document, dedup_within_unit, filter_documents
 from .report import ScopeReport, build_scope_report
 from .stats import AnalysisConfig, TermResult, build_tables, compute_term_results
-from .textproc import extract_terms
+from .textproc import UnitMemo, extract_terms
 
 
 @dataclass
@@ -77,11 +79,15 @@ def analyze_scope(
     scope: str,
     config: AnalysisConfig,
     min_abstract_chars: int = 500,
+    vocab: Optional[dict[str, str]] = None,
+    memo: Optional[UnitMemo] = None,
 ) -> ScopeOutcome:
     """Run the full analysis for one scope's cleaned documents.
 
     Returns an outcome with `skipped` set (and no report) when the scope is
     degenerate: no documents survive the filters or some group is empty.
+    `vocab` and `memo` are the token table and token-unit memo that
+    `extract_terms` takes; None gives the scope a table of its own and no memo.
     """
     subset = select_scope(docs, scope)
     if not subset:
@@ -105,9 +111,9 @@ def analyze_scope(
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
         return ScopeOutcome(scope, skipped=f"empty group(s) {empty}", group_sizes=sizes)
 
-    # One token table per scope: its term sets share one string per distinct token.
-    vocab: dict[str, str] = {}
-    term_sets = [extract_terms(doc, config.n_max, vocab) for doc in filtered.documents]
+    # A scope given no token table gets its own: its term sets share one string per distinct token.
+    vocab = {} if vocab is None else vocab
+    term_sets = [extract_terms(doc, config.n_max, vocab, memo) for doc in filtered.documents]
     tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
     results, m, threshold = compute_term_results(tables, scheme.labels, config.alpha)
     report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)
@@ -121,6 +127,13 @@ def analyze_scopes(
     rules: list[CleaningRule],
     min_abstract_chars: int = 500,
 ) -> dict[str, ScopeOutcome]:
-    """Clean every document once, then analyze the scopes one after another."""
+    """Clean and tokenize every document once, then per scope select, dedup, filter and count.
+
+    The scopes run one after another and share one token table and one memo
+    of token units: a document is tokenized in the first scope that extracts
+    it, and the later scopes reuse its units.
+    """
     cleaned = clean_documents(docs, rules)
-    return {scope: analyze_scope(cleaned, scope, config, min_abstract_chars) for scope in scopes}
+    vocab: dict[str, str] = {}
+    memo: UnitMemo = {}
+    return {scope: analyze_scope(cleaned, scope, config, min_abstract_chars, vocab, memo) for scope in scopes}

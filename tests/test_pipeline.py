@@ -1,12 +1,14 @@
 import dataclasses
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 import termassoc.pipeline as pipeline
+import termassoc.textproc as textproc
 from termassoc.cleanse import clean_abstract
 from termassoc.corpus import Document, dedup_within_unit
-from termassoc.report import emit_report
+from termassoc.report import FORMATS, emit_report
 from termassoc.stats import AnalysisConfig
 
 CONFIG = AnalysisConfig(n_max=2, min_doc_frequency=1)
@@ -81,6 +83,68 @@ def test_scope_term_sets_share_one_string_per_token(monkeypatch):
     assert words(outcome) == {"apple", "red", "green", "ripe"}
 
 
+def two_panels_repeating_a_text():
+    """Unit 1 (panel A) and unit 2 (panel B), one document per score group each.
+
+    b1 repeats a1's whole text in the other unit and panel; b0 has score 0,
+    so the filter drops it from every scope.
+    """
+
+    def doc(id, unit, panel, score, title, abstract):
+        return Document(id=id, doi=f"10.1/{id}", title=title, abstract_raw=abstract, keywords=["fruit yield"],
+                        unit=unit, panel=panel, score=score)
+
+    return [
+        doc("a1", "1", "A", 1, "Apple study", "Apple red."),
+        doc("a3", "1", "A", 3, "Apple study", "Apple green."),
+        doc("a4", "1", "A", 4, "Apple study", "Apple ripe."),
+        doc("b1", "2", "B", 1, "Apple study", "Apple red."),
+        doc("b3", "2", "B", 3, "Pear study", "Pear short."),
+        doc("b4", "2", "B", 4, "Pear study", "Pear wide. Pear tall."),
+        doc("b0", "2", "B", 0, "Pear study", "Pear unscored."),
+    ]
+
+
+def test_each_text_is_tokenized_once_per_run_but_extracted_once_per_scope(monkeypatch):
+    docs = two_panels_repeating_a_text()
+    split, extracted = [], []
+    real_split, real_extract = textproc.split_sentences, pipeline.extract_terms
+
+    def counting_split(text, *args):
+        split.append(text)
+        return real_split(text, *args)
+
+    def counting_extract(doc, *args):
+        extracted.append(doc.id)
+        return real_extract(doc, *args)
+
+    monkeypatch.setattr(textproc, "split_sentences", counting_split)
+    monkeypatch.setattr(pipeline, "extract_terms", counting_extract)
+    scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
+    assert scopes == ["unit:1", "unit:2", "panel:A", "panel:B", "all"]
+    outcomes = pipeline.analyze_scopes(docs, scopes, CONFIG, [], 0)
+    assert not any(outcome.skipped for outcome in outcomes.values())
+    # Every kept document is in its unit, its panel and all; a1 and b1 share one text.
+    assert Counter(extracted) == {id: 3 for id in ("a1", "a3", "a4", "b1", "b3", "b4")}
+    assert Counter(split) == Counter(["Apple red.", "Apple green.", "Apple ripe.", "Pear short.",
+                                      "Pear wide. Pear tall."])
+
+
+def test_a_memo_hit_still_checks_n_max_and_the_cleaned_abstract():
+    doc = Document(id="d", title="A title", abstract_raw="Some words.", abstract_clean="Some words.",
+                   keywords=["key"])
+    memo = {}
+    first = textproc.extract_terms(doc, 2, {}, memo)
+    assert memo == {("A title", "Some words.", "key"): [["a", "title"], ["some", "words"], ["key"]]}
+    assert textproc.extract_terms(doc, 2, {}, memo).units is first.units
+    with pytest.raises(ValueError, match="n_max"):
+        textproc.extract_terms(doc, 9, {}, memo)
+    uncleaned = Document(id="u", title="A title", abstract_raw="Some words.", keywords=["key"])
+    memo[("A title", None, "key")] = first.units
+    with pytest.raises(ValueError, match="no cleaned abstract"):
+        textproc.extract_terms(uncleaned, 2, {}, memo)
+
+
 def test_clean_documents_keeps_every_field_but_the_clean_abstract():
     values = {"id": "d7", "doi": "10.1/x", "title": "A title", "journal": "A journal",
               "abstract_raw": "Raw  text here.", "abstract_clean": "stale", "keywords": ["k one"],
@@ -144,3 +208,46 @@ def test_scope_outcome_independent_of_document_order(inputs):
     docs, shuffled = inputs
     for scope in ("unit:1", "all"):
         assert scope_facts(shuffled, scope) == scope_facts(docs, scope)
+
+
+TEXTS = st.tuples(st.sampled_from(["", "Alpha study", "Beta gamma"]), ABSTRACT,
+                  st.lists(st.sampled_from(["alpha beta", "delta"]), max_size=2))
+
+
+@st.composite
+def run_inputs(draw):
+    """Documents in three units over two panels, drawing ids, DOIs and texts from small pools.
+
+    Ids and whole texts (title, abstract, keywords) repeat within and across
+    units; three anchor documents in unit 1, one per score group, keep some
+    scope unskipped.
+    """
+    texts = draw(st.lists(TEXTS, min_size=1, max_size=4))
+    docs = [
+        Document(id="a", doi=f"10.9/anchor{score}", abstract_raw=draw(ABSTRACT) + " Delta gamma beta alpha.",
+                 unit="1", panel="A", score=score)
+        for score in (1, 3, 4)
+    ]
+    for _ in range(draw(st.integers(0, 12))):
+        title, abstract, keywords = draw(st.sampled_from(texts))
+        unit = draw(st.sampled_from(["1", "2", "3"]))
+        docs.append(Document(id=draw(st.sampled_from(["a", "x", "y"])), doi=f"10.1/art{draw(st.integers(0, 5))}",
+                             title=title, abstract_raw=abstract, keywords=keywords, unit=unit,
+                             panel="B" if unit == "3" else "A", score=draw(st.integers(0, 4))))
+    return docs
+
+
+def outcome_facts(outcome):
+    reports = outcome.report and [emit_report(outcome.report, fmt) for fmt in FORMATS]
+    return reports, outcome.m, outcome.threshold, outcome.group_sizes, outcome.results, outcome.skipped
+
+
+@given(run_inputs())
+def test_shared_memo_gives_the_outcomes_of_scopes_analysed_alone(docs):
+    config = AnalysisConfig(n_max=3, min_doc_frequency=2)
+    scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
+    shared = pipeline.analyze_scopes(docs, scopes, config, [], MIN_ABSTRACT_CHARS)
+    cleaned = pipeline.clean_documents(docs, [])
+    alone = {scope: pipeline.analyze_scope(cleaned, scope, config, MIN_ABSTRACT_CHARS) for scope in scopes}
+    assert list(shared) == scopes
+    assert {s: outcome_facts(o) for s, o in shared.items()} == {s: outcome_facts(o) for s, o in alone.items()}

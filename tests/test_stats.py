@@ -320,6 +320,24 @@ def test_build_tables_matches_brute_force_oracle(inputs):
     assert build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df) == want
 
 
+def test_build_tables_leaves_every_unit_unchanged():
+    # One run hands the same units to every scope's count, so counting must not change them.
+    # A rare token x<i> cuts most units into two kept runs at every level; the rest stay whole.
+    rng = random.Random(5)
+    term_sets = []
+    for i in range(30):
+        phrase = "a b c d e f".split()
+        if i % 3:
+            phrase.insert(rng.randint(1, 5), f"x{i}")
+        term_sets.append(DocTermSet([phrase, [rng.choice("abcdef") for _ in range(rng.randint(1, 8))]], 5))
+    before = [[list(tokens) for tokens in ts.units] for ts in term_sets]
+    objects = [(ts.units, *ts.units) for ts in term_sets]
+    tables = build_tables(term_sets, [i % 3 for i in range(30)], 3, min_df=3)
+    assert "a b c d e" in tables and not any(term.startswith("x") for term in tables)
+    assert [ts.units for ts in term_sets] == before
+    assert all(a is b for ts, objs in zip(term_sets, objects) for a, b in zip((ts.units, *ts.units), objs))
+
+
 # --------------------------------------------------------- compute_term_results
 
 def test_compute_results_significance_flag_equivalence():
