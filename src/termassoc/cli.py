@@ -293,7 +293,7 @@ FLAGS = {
     "--metadata": dict(metavar="PATH"),
     "--min-abstract-chars": dict(dest="min_abstract_chars", type=int),
     "--in": dict(dest="in_path", required=True, metavar="PATH", help="input JSON-lines file"),
-    "--scope": dict(choices=("unit", "panel", "all"), default="unit"),
+    "--scope": dict(choices=(*corpus.SCOPE_KINDS, "all"), default="unit"),
     "--format": dict(choices=tuple(FORMATS), default="text"),
     "--out-file": dict(dest="out_file", metavar="PATH"),
     "--spec": dict(required=True, metavar="PATH", help="synthetic corpus spec JSON"),
@@ -304,18 +304,28 @@ FLAGS = {
 
 _ANALYSIS_FLAGS = "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out"
 
-# Subcommand -> (help, the flags it reads). main builds the analysis config,
-# the rules and the scope check before any stage writes for the commands that
-# read --nmax, --rules and --scopes respectively.
+# Subcommand -> (help, the flags it reads, its runner). main builds the
+# analysis config, the rules and the scope check before any stage writes for
+# the commands that read --nmax, --rules and --scopes respectively, and calls
+# the runner with the config, the parsed flags, the analysis config and the rules.
 COMMANDS = {
-    "link": ("match score records to metadata", "--config --out --scores --metadata"),
-    "dedup": ("collapse multiply-submitted articles", "--config --seed --out --in --scope"),
-    "clean": ("strip journal boilerplate from abstracts", "--config --rules --out --in"),
-    "analyze": ("run the statistical analysis per scope", f"{_ANALYSIS_FLAGS} --in --min-abstract-chars"),
-    "report": ("re-render a JSONL report", "--in --format --out-file"),
+    "link": ("match score records to metadata", "--config --out --scores --metadata",
+             lambda cfg, args, analysis, rules: run_link(cfg)),
+    "dedup": ("collapse multiply-submitted articles", "--config --seed --out --in --scope",
+              lambda cfg, args, analysis, rules: run_dedup(cfg, args.in_path, args.scope)),
+    "clean": ("strip journal boilerplate from abstracts", "--config --rules --out --in",
+              lambda cfg, args, analysis, rules: run_clean(cfg, args.in_path, rules)),
+    "analyze": ("run the statistical analysis per scope", f"{_ANALYSIS_FLAGS} --in --min-abstract-chars",
+                lambda cfg, args, analysis, rules:
+                run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus"))),
+    "report": ("re-render a JSONL report", "--in --format --out-file",
+               lambda cfg, args, analysis, rules: run_report(args.in_path, args.format, args.out_file)),
     "synth": ("validate the detector on synthetic corpora",
-              "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out"),
-    "pipeline": ("link then analyze in one go", f"{_ANALYSIS_FLAGS} --scores --metadata --min-abstract-chars"),
+              "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out",
+              lambda cfg, args, analysis, rules:
+              run_synth(cfg, analysis, rules, args.spec, args.sims, args.corpus_out)),
+    "pipeline": ("link then analyze in one go", f"{_ANALYSIS_FLAGS} --scores --metadata --min-abstract-chars",
+                 lambda cfg, args, analysis, rules: run_analyze(cfg, analysis, rules, run_link(cfg)[1])),
 }
 
 
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Find words and phrases that associate with document quality grades.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in COMMANDS.items():
+    for command, (text, flags, _) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for flag in flags.split():
             p.add_argument(flag, **FLAGS[flag])
@@ -341,28 +351,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = PipelineConfig.load(getattr(args, "config", None), args)
         # Reject bad analysis values, rules and scope specifiers before any stage writes.
-        reads = COMMANDS[args.command][1].split()
-        if "--nmax" in reads:
-            analysis = cfg.analysis_config()
-        if "--rules" in reads:
-            rules = cfg.load_rules()
+        _, flags, runner = COMMANDS[args.command]
+        reads = flags.split()
+        analysis = cfg.analysis_config() if "--nmax" in reads else None
+        rules = cfg.load_rules() if "--rules" in reads else None
         if "--scopes" in reads:
             pipeline.check_scopes(cfg.scopes)
-        if args.command == "link":
-            run_link(cfg)
-        elif args.command == "dedup":
-            run_dedup(cfg, args.in_path, args.scope)
-        elif args.command == "clean":
-            run_clean(cfg, args.in_path, rules)
-        elif args.command == "analyze":
-            run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus"))
-        elif args.command == "report":
-            run_report(args.in_path, args.format, args.out_file)
-        elif args.command == "synth":
-            run_synth(cfg, analysis, rules, args.spec, args.sims, args.corpus_out)
-        elif args.command == "pipeline":
-            _, merged = run_link(cfg)
-            run_analyze(cfg, analysis, rules, merged)
+        runner(cfg, args, analysis, rules)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,10 @@ for _u in range(1, 35):
 
 SUSPICIOUS_TITLE_CHARS = 20
 
+# The Document fields a scope selects on: scope "unit:<u>" holds the documents
+# whose unit is u, and "panel:<p>" those whose panel is p.
+SCOPE_KINDS = ("unit", "panel")
+
 
 class PipelineOrderError(RuntimeError):
     """A stage ran before one of its prerequisites."""
@@ -416,8 +420,13 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
 
 
 def merge_linked(score_records: list[Document], metadata: list[Document], link: LinkResult) -> list[Document]:
-    """Combine matched pairs into full Documents (metadata text + record score)."""
-    meta_by_id = {d.id: d for d in metadata}
+    """Combine matched pairs into full Documents (metadata text + record score).
+
+    The result follows `link.matched`, which is in record-id order.
+    """
+    # Only the metadata some match names is indexed, so the rest costs no memory.
+    wanted = {meta_id for _, meta_id, _ in link.matched}
+    meta_by_id = {d.id: d for d in metadata if d.id in wanted}
     rec_by_id = {d.id: d for d in score_records}
     merged = []
     for rec_id, meta_id, _kind in link.matched:
@@ -436,7 +445,6 @@ def merge_linked(score_records: list[Document], metadata: list[Document], link: 
                 submitter=rec.submitter,
             )
         )
-    merged.sort(key=lambda d: d.id)
     return merged
 
 
@@ -456,21 +464,14 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
     uniformly by a generator seeded from (seed, identity), so results are
     reproducible and independent of input order. Output is sorted by identity.
 
-    scope is "unit", "panel" or "all" (dedup across the whole corpus).
+    scope is one of SCOPE_KINDS, or "all" (dedup across the whole corpus).
     """
-    if scope not in ("unit", "panel", "all"):
+    if scope not in (*SCOPE_KINDS, "all"):
         raise ValueError(f"scope must be unit, panel or all, got {scope!r}")
-
-    def scope_value(doc: Document) -> str:
-        if scope == "unit":
-            return doc.unit
-        if scope == "panel":
-            return doc.panel
-        return ""
 
     groups: dict[tuple[str, str], list[Document]] = {}
     for doc in docs:
-        groups.setdefault((doc.identity, scope_value(doc)), []).append(doc)
+        groups.setdefault((doc.identity, "" if scope == "all" else getattr(doc, scope)), []).append(doc)
 
     out = []
     for (identity, _sv), copies in sorted(groups.items()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cleanse import CleaningRule, clean_abstract
-from .corpus import Document, dedup_within_unit, filter_documents
+from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents
 from .report import ScopeReport, build_scope_report
 from .stats import AnalysisConfig, TermResult, build_tables, compute_term_results
 from .textproc import UnitMemo, extract_terms
@@ -31,22 +31,24 @@ class ScopeOutcome:
     skipped: Optional[str] = None
 
 
+# Scope keyword -> the kind it expands to: "units" gives one "unit:<u>" scope per unit.
+_KEYWORDS = {kind + "s": kind for kind in SCOPE_KINDS}
+
+
 def select_scope(docs: list[Document], scope: str) -> list[Document]:
     if scope == "all":
         return list(docs)
     kind, _, value = scope.partition(":")
-    if kind == "unit":
-        return [d for d in docs if d.unit == value]
-    if kind == "panel":
-        return [d for d in docs if d.panel == value]
-    raise ValueError(f"unknown scope {scope!r}")
+    if kind not in SCOPE_KINDS:
+        raise ValueError(f"unknown scope {scope!r}")
+    return [d for d in docs if getattr(d, kind) == value]
 
 
 def check_scopes(requested: list[str]):
     """Reject a scope specifier other than units, panels, all, unit:<x> or panel:<x>."""
     for item in requested:
         kind, _, value = item.partition(":")
-        if item not in ("units", "panels", "all") and not (kind in ("unit", "panel") and value):
+        if item != "all" and item not in _KEYWORDS and not (kind in SCOPE_KINDS and value):
             raise ValueError(f"unknown scope specifier {item!r}; use units, panels, all, unit:<x> or panel:<x>")
 
 
@@ -55,10 +57,9 @@ def expand_scopes(docs: list[Document], requested: list[str]) -> list[str]:
     check_scopes(requested)
     scopes: list[str] = []
     for item in requested:
-        if item == "units":
-            scopes.extend(f"unit:{u}" for u in sorted({d.unit for d in docs if d.unit}))
-        elif item == "panels":
-            scopes.extend(f"panel:{p}" for p in sorted({d.panel for d in docs if d.panel}))
+        kind = _KEYWORDS.get(item)
+        if kind:
+            scopes.extend(f"{kind}:{v}" for v in sorted({getattr(d, kind) for d in docs} - {""}))
         else:
             scopes.append(item)
     return list(dict.fromkeys(scopes))
@@ -85,9 +86,10 @@ def analyze_scope(
     """Run the full analysis for one scope's cleaned documents.
 
     Returns an outcome with `skipped` set (and no report) when the scope is
-    degenerate: no documents survive the filters or some group is empty.
-    `vocab` and `memo` are the token table and token-unit memo that
-    `extract_terms` takes; None gives the scope a table of its own and no memo.
+    degenerate: it selects no documents, none survive the filters, or some
+    score group is empty. `vocab` and `memo` are the token table and
+    token-unit memo that `extract_terms` takes; with None the scope gets a
+    table of its own and each `extract_terms` call a fresh memo.
     """
     subset = select_scope(docs, scope)
     if not subset:
@@ -101,11 +103,8 @@ def analyze_scope(
         return ScopeOutcome(scope, skipped="no documents after filtering")
 
     scheme = config.group_scheme
+    # Every kept score is 1-4 and a GroupScheme covers exactly those, so each has a group.
     groups = [scheme.group_index(doc.score) for doc in filtered.documents]
-    if None in groups:
-        doc = filtered.documents[groups.index(None)]
-        return ScopeOutcome(scope, skipped=f"document {doc.id!r} has ungrouped score {doc.score}")
-
     sizes = [groups.count(idx) for idx in range(len(scheme.groups))]
     if 0 in sizes:
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]

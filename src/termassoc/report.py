@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 
 from .corpus import check_json
 from .stats import TermResult
+from .textproc import iter_ngrams
 
 
 @dataclass
@@ -56,13 +57,6 @@ def rank_terms(results: list) -> list:
     return sorted(results, key=lambda r: (-r.chi2, r.term))
 
 
-def _proper_subgrams(tokens: tuple[str, ...]) -> Iterable[str]:
-    length = len(tokens)
-    for n in range(1, length):
-        for start in range(length - n + 1):
-            yield " ".join(tokens[start : start + n])
-
-
 def subsume(ranked: list) -> list:
     """Drop terms contained in a longer retained term with the same direction.
 
@@ -73,10 +67,10 @@ def subsume(ranked: list) -> list:
     """
     covered: dict[str, set[str]] = {}
     for row in ranked:
-        tokens = tuple(row.term.split(" "))
+        tokens = row.term.split(" ")
         if len(tokens) < 2:
             continue
-        covered.setdefault(row.direction, set()).update(_proper_subgrams(tokens))
+        covered.setdefault(row.direction, set()).update(iter_ngrams(tokens, len(tokens) - 1))
     return [row for row in ranked if row.term not in covered.get(row.direction, ())]
 
 

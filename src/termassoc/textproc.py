@@ -12,11 +12,12 @@ reference implementation of the same rule.
 
 `extract_terms` passes every token through a `vocab` dict that holds one
 string per distinct token: the term sets of all documents given the same
-dict share those strings instead of each holding its own copies. Given a
-`memo` dict as well, it keeps each text's token units under the text itself,
-so a document met again in a later scope is not split or tokenized again.
-One run shares one token table and one memo across its scopes, so each
-document is tokenized once per run.
+dict share those strings instead of each holding its own copies. It keeps
+each text's token units in a `memo` dict under the text itself, so a document
+met again in a later scope is not split or tokenized again. A call given no
+memo takes a fresh one and so always tokenizes, by the same single body. One
+run shares one token table and one memo across its scopes, so each document
+is tokenized once per run.
 """
 
 from __future__ import annotations
@@ -115,26 +116,22 @@ def extract_terms(
     """Token units of the title, abstract sentences and keywords; empty units dropped.
 
     Each token is replaced by the string `vocab` already holds for it, which
-    is added when new; None stands for a fresh dict. `memo` maps a text, as
-    (title, cleaned abstract, *keywords), to its units: a text found there is
-    not tokenized again, and a new one is added. Units depend on nothing
-    else, so documents that share an id but not their text never share units.
+    is added when new. `memo` maps a text, as (title, cleaned abstract,
+    *keywords), to its units: a text found there is not tokenized again, and
+    a new one is added. None stands for a fresh dict in either place, so a
+    call given no memo tokenizes its text. Units depend on nothing else, so
+    documents that share an id but not their text never share units.
     Callers must not change the units lists, which the memo hands out again.
     """
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
-    if memo is None:
-        return DocTermSet(_units(doc, vocab), n_max)
+    memo = {} if memo is None else memo
     key = (doc.title, doc.abstract_clean, *doc.keywords)
     units = memo.get(key)
     if units is None:
-        units = memo[key] = _units(doc, vocab)
+        share = ({} if vocab is None else vocab).setdefault
+        texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
+        units = memo[key] = [list(map(share, tokens, tokens)) for tokens in map(tokenize, texts) if tokens]
     return DocTermSet(units, n_max)
-
-
-def _units(doc: Document, vocab: Optional[dict[str, str]]) -> list[list[str]]:
-    share = ({} if vocab is None else vocab).setdefault
-    units = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-    return [list(map(share, tokens, tokens)) for tokens in map(tokenize, units) if tokens]

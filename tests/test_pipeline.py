@@ -192,6 +192,20 @@ def scope_facts(docs, scope):
     return reports, outcome.group_sizes, outcome.m, outcome.threshold
 
 
+@given(st.lists(st.tuples(st.sampled_from(["", "1", "10", "7", "x"]), st.sampled_from(["", "A", "B"])), max_size=8))
+def test_scopes_expand_to_and_select_the_distinct_non_empty_units_and_panels(fields):
+    # A unit in 1-34 given no panel takes its own; "x" and "" keep an empty panel.
+    docs = [Document(id=f"d{k}", unit=unit, panel=panel) for k, (unit, panel) in enumerate(fields)]
+    units = sorted({d.unit for d in docs} - {""})
+    panels = sorted({d.panel for d in docs} - {""})
+    expected = [f"unit:{u}" for u in units] + [f"panel:{p}" for p in panels] + ["all"]
+    assert pipeline.expand_scopes(docs, ["units", "panels", "all"]) == expected
+    for u in units:
+        assert [d.id for d in pipeline.select_scope(docs, f"unit:{u}")] == [d.id for d in docs if d.unit == u]
+    for p in panels:
+        assert [d.id for d in pipeline.select_scope(docs, f"panel:{p}")] == [d.id for d in docs if d.panel == p]
+
+
 @given(scope_inputs())
 def test_scope_dedup_by_identity_equals_dedup_by_scope_kind(inputs):
     # analyze_scope dedups a unit: or panel: scope by identity alone.

@@ -102,19 +102,21 @@ def test_subsume_pairwise_property_random():
             continue
         seen.add(term)
         rows.append(result(term, rng.random() * 30, rng.choice(LABELS)))
-    kept = subsume(rank_terms(rows))
+    ranked = rank_terms(rows)
+    kept = subsume(ranked)
+
+    def covers(other, row):
+        """other has the same direction, more tokens, and holds row's tokens contiguously."""
+        toks, others = row.term.split(" "), other.term.split(" ")
+        return other.direction == row.direction and len(others) > len(toks) and any(
+            others[i : i + len(toks)] == toks for i in range(len(others) - len(toks) + 1)
+        )
+
     for row in kept:
-        toks = row.term.split(" ")
         for other in kept:
-            if other is row or other.direction != row.direction:
-                continue
-            others = other.term.split(" ")
-            if len(others) <= len(toks):
-                continue
-            contained = any(
-                others[i : i + len(toks)] == toks for i in range(len(others) - len(toks) + 1)
-            )
-            assert not contained, f"{row.term!r} inside {other.term!r}"
+            assert not covers(other, row), f"{row.term!r} inside {other.term!r}"
+    # Brute-force oracle: a row is dropped exactly when some other row covers it.
+    assert kept == [row for row in ranked if not any(covers(other, row) for other in ranked)]
 
 
 # ---------------------------------------------------------- build_scope_report
