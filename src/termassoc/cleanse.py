@@ -79,11 +79,13 @@ class CleaningRule:
 
 
 def clean_abstract(text: str, rules: list[CleaningRule]) -> str:
-    """Apply enabled rules in declared order, then normalize whitespace."""
+    """Apply enabled rules in declared order, then normalize whitespace; an unchanged text is returned as is."""
+    cleaned = text
     for rule in rules:
         if rule.enabled:
-            text = rule.apply(text)
-    return " ".join(text.split())
+            cleaned = rule.apply(cleaned)
+    cleaned = " ".join(cleaned.split())
+    return text if cleaned == text else cleaned
 
 
 def load_rules(source) -> list[CleaningRule]:

@@ -16,7 +16,7 @@ from typing import Optional
 from .cleanse import CleaningRule, clean_abstract
 from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents
 from .report import ScopeReport, build_scope_report
-from .stats import AnalysisConfig, TermResult, build_tables, compute_term_results
+from .stats import AnalysisConfig, build_tables, compute_term_results
 from .textproc import UnitMemo, extract_terms
 
 
@@ -24,10 +24,10 @@ from .textproc import UnitMemo, extract_terms
 class ScopeOutcome:
     scope: str
     report: Optional[ScopeReport] = None
-    results: list[TermResult] = field(default_factory=list)
     m: int = 0
     threshold: Optional[float] = None
     group_sizes: list[int] = field(default_factory=list)
+    significant: dict[str, str] = field(default_factory=dict)    # significant term -> direction
     skipped: Optional[str] = None
 
 
@@ -114,9 +114,9 @@ def analyze_scope(
     vocab = {} if vocab is None else vocab
     term_sets = [extract_terms(doc, config.n_max, vocab, memo) for doc in filtered.documents]
     tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
-    results, m, threshold = compute_term_results(tables, scheme.labels, config.alpha)
+    results, m, threshold = compute_term_results(tables, sizes, scheme.labels, config.alpha)
     report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)
-    return ScopeOutcome(scope, report, results, m, threshold, sizes)
+    return ScopeOutcome(scope, report, m, threshold, sizes, {r.term: r.direction for r in results if r.significant})
 
 
 def analyze_scopes(

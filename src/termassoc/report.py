@@ -31,15 +31,8 @@ class ReportRow:
 
     @classmethod
     def from_result(cls, result: TermResult, labels: list[str]) -> "ReportRow":
-        return cls(
-            term=result.term,
-            n=result.table.total_present,
-            chi2=result.chi2,
-            p_value=result.p_value,
-            significant=result.significant,
-            direction=result.direction,
-            proportions={label: p for label, p in zip(labels, result.proportions)},
-        )
+        return cls(result.term, result.table.total_present, result.chi2, result.p_value, result.significant,
+                   result.direction, dict(zip(labels, result.proportions)))
 
 
 @dataclass
@@ -93,14 +86,7 @@ def build_scope_report(
     significant = [r for r in ranked if r.significant]
     pool, illustrative = (significant, False) if significant else (ranked, True)
     rows = [ReportRow.from_result(r, labels) for r in subsume(pool)[:top_k]]
-    return ScopeReport(
-        scope=scope,
-        m=m,
-        threshold=threshold,
-        group_labels=list(labels),
-        rows=rows,
-        illustrative=illustrative,
-    )
+    return ScopeReport(scope, m, threshold, list(labels), rows, illustrative)
 
 
 def _csv_header(labels: list[str]) -> list[str]:

@@ -1,12 +1,14 @@
 """Contingency tables and chi-square testing over merged score groups.
 
 Every term gets a groups x {present, absent} table of document counts (not
-occurrence counts). The Pearson statistic is compared against a critical
-value derived from the Bonferroni-corrected significance level: with m terms
-tested at level alpha, a term is significant when its statistic reaches the
-point where the chi-square survival function equals alpha/m. The survival
-function is computed from the regularized incomplete gamma function, with no
-dependency beyond the standard library.
+occurrence counts): the scope's group sizes N_g and the term's counts k_g.
+The Pearson statistic is compared against a critical value derived from the
+Bonferroni-corrected significance level: with m terms tested at level alpha,
+a term is significant when its statistic reaches the point where the
+chi-square survival function equals alpha/m. The survival function is
+computed from the regularized incomplete gamma function, with no dependency
+beyond the standard library. Every term gets a statistic; only the terms a
+report can show get a direction, and only written rows a p-value.
 """
 
 from __future__ import annotations
@@ -50,20 +52,21 @@ class ContingencyTable:
         return sum(self.present)
 
 
-def chi_square(table: ContingencyTable) -> float:
+def chi_square(group_sizes: tuple[int, ...], present: tuple[int, ...]) -> float:
     """Pearson statistic sum((O-E)^2/E) over the groups x {present, absent} cells.
 
-    Expected counts come from the row/column marginals. Constant tables, whose
-    term is present in no document or in all, score 0.0 rather than erroring.
-    Groups with N_g = 0 contribute nothing (their expected counts are 0).
+    group_sizes holds each group's N_g and present its k_g. Expected counts
+    come from the row/column marginals. Constant tables, whose term is present
+    in no document or in all, score 0.0 rather than erroring. Groups with
+    N_g = 0 contribute nothing (their expected counts are 0).
     """
-    total_present = sum(table.present)
-    total_docs = sum(table.group_sizes)
+    total_present = sum(present)
+    total_docs = sum(group_sizes)
     if total_present == 0 or total_present == total_docs:
         return 0.0
     total_absent = total_docs - total_present
     stat = 0.0
-    for n_g, k_g in zip(table.group_sizes, table.present):
+    for n_g, k_g in zip(group_sizes, present):
         if n_g == 0:
             continue
         e_present = n_g * total_present / total_docs
@@ -73,17 +76,13 @@ def chi_square(table: ContingencyTable) -> float:
     return stat
 
 
-def direction(table: ContingencyTable) -> tuple[int, list[float]]:
+def direction(group_sizes: tuple[int, ...], present: tuple[int, ...]) -> tuple[int, list[float]]:
     """Index of the group with the highest presence proportion, plus all proportions.
 
     Ties break to the lowest-ordered group. Empty groups get proportion 0.0.
     """
-    props = [k_g / n_g if n_g else 0.0 for n_g, k_g in zip(table.group_sizes, table.present)]
-    best = 0
-    for idx in range(1, len(props)):
-        if props[idx] > props[best]:
-            best = idx
-    return best, props
+    props = [k_g / n_g if n_g else 0.0 for n_g, k_g in zip(group_sizes, present)]
+    return max(range(len(props)), key=props.__getitem__), props
 
 
 def _lower_series(a: float, x: float) -> float:
@@ -180,16 +179,19 @@ def bonferroni_threshold(alpha: float, m: int, df: int) -> float:
 
 @dataclass
 class TermResult:
-    """A tested term with its statistic, significance call and direction."""
+    """A tested term with its statistic, significance call and direction; the p-value is computed when read."""
 
     term: str
     table: ContingencyTable
     chi2: float
     df: int
-    p_value: float
     significant: bool
     direction: str                    # label of the group with maximal proportion
     proportions: tuple[float, ...]
+
+    @property
+    def p_value(self) -> float:
+        return chi_sq_survival(self.chi2, self.df)
 
 
 @dataclass
@@ -219,13 +221,14 @@ def build_tables(
     groups: Iterable[int],
     n_groups: int,
     min_df: int = 10,
-) -> dict[str, ContingencyTable]:
+) -> dict[str, tuple[int, ...]]:
     """Count, per term, the documents containing it in each group.
 
     groups holds each document's group index, aligned with term_sets; the
     two must be the same length. Documents contribute presence, not
-    occurrences. Terms seen in fewer than min_df documents overall are
-    dropped; the size of the returned map is the Bonferroni divisor m.
+    occurrences. A term maps to its count tuple, one k_g per group. Terms
+    seen in fewer than min_df documents overall are dropped; the size of the
+    returned map is the Bonferroni divisor m.
     Raises on an empty corpus or an empty group, both of which make the test
     degenerate.
 
@@ -250,8 +253,7 @@ def build_tables(
         if size == 0:
             raise ValueError(f"group {idx} is empty; the test is degenerate")
 
-    sizes = tuple(group_sizes)
-    tables: dict[str, ContingencyTable] = {}
+    tables: dict[str, tuple[int, ...]] = {}
     # Per document: (group, n_max, segments).
     level = [(g, ts.n_max, ts.units) for ts, g in pairs]
     n = 1
@@ -277,7 +279,7 @@ def build_tables(
                     next_level.append((g, n_max, longer))
         for gram in kept:
             term = gram if n == 1 else " ".join(gram)
-            tables[term] = ContingencyTable(sizes, tuple(c[gram] for c in counts))
+            tables[term] = tuple(c[gram] for c in counts)
         level = next_level
         n += 1
     return tables
@@ -313,14 +315,17 @@ def _kept_runs(segments: list[list[str]], n: int, kept: set) -> list[list[str]]:
 
 
 def compute_term_results(
-    tables: Mapping[str, ContingencyTable],
+    tables: Mapping[str, tuple[int, ...]],
+    group_sizes: tuple[int, ...],
     labels: list[str],
     alpha: float = 0.05,
 ) -> tuple[list[TermResult], int, Optional[float]]:
     """Score every table; returns (results, m, critical value).
 
-    m is the number of tables (the Bonferroni divisor). A statistic exactly
-    equal to the critical value counts as significant. With no tables the
+    tables maps terms to counts over groups of group_sizes; m is their number
+    (the Bonferroni divisor). A statistic exactly equal to the critical value
+    counts as significant. The results, sorted by term, are the terms a report
+    can show: the significant ones, or all when none is. With no tables the
     critical value is None.
     """
     m = len(tables)
@@ -328,22 +333,11 @@ def compute_term_results(
         return [], 0, None
     df = len(labels) - 1
     threshold = bonferroni_threshold(alpha, m, df)
+    stats = {term: chi_square(group_sizes, present) for term, present in tables.items()}
+    shown = [term for term, stat in stats.items() if stat >= threshold] or list(stats)
     results = []
-    for term in sorted(tables):
-        table = tables[term]
-        stat = chi_square(table)
-        p_value = chi_sq_survival(stat, df)
-        best, props = direction(table)
-        results.append(
-            TermResult(
-                term=term,
-                table=table,
-                chi2=stat,
-                df=df,
-                p_value=p_value,
-                significant=stat >= threshold,
-                direction=labels[best],
-                proportions=tuple(props),
-            )
-        )
+    for term in sorted(shown):
+        best, props = direction(group_sizes, tables[term])
+        results.append(TermResult(term, ContingencyTable(group_sizes, tables[term]), stats[term], df,
+                                  stats[term] >= threshold, labels[best], tuple(props)))
     return results, m, threshold

@@ -6,12 +6,19 @@ words), and each planted term is spliced contiguously into one sentence with
 a per-group presence probability. Presence, not frequency, is planted,
 because the statistic counts documents. Everything is deterministic for a
 fixed seed.
+
+`generate_corpus` draws tokens at C level from one lazy iterator per corpus
+that keeps each `getrandbits(k)` below n, for n words of bit length k. That
+is the loop `rng.choice(vocab)` runs, call for call and only when a token is
+pulled, so the `random()` and `randrange` calls between draws see the same
+stream and a seed gives the same corpus as with `choice`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from typing import Optional
 
 from .cleanse import default_rules
@@ -118,6 +125,9 @@ def generate_corpus(spec: SyntheticSpec, scheme: Optional[GroupScheme] = None) -
         raise ValueError("group_sizes must align with the group scheme")
     rng = random.Random(spec.seed)
     vocab = background_vocabulary(spec.vocab_size)
+    n = len(vocab)
+    draws = map(vocab.__getitem__, filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length()))))
+    p_keep = spec.token_inclusion_prob
     docs = []
     doc_index = 0
     for g, size in enumerate(spec.group_sizes):
@@ -125,11 +135,10 @@ def generate_corpus(spec: SyntheticSpec, scheme: Optional[GroupScheme] = None) -
         for j in range(size):
             sentences: list[list[str]] = []
             for _ in range(spec.sentences_per_doc):
-                tokens = []
-                for _ in range(spec.tokens_per_sentence):
-                    if spec.token_inclusion_prob >= 1.0 or rng.random() < spec.token_inclusion_prob:
-                        tokens.append(rng.choice(vocab))
-                sentences.append(tokens)
+                if p_keep >= 1.0:
+                    sentences.append(list(islice(draws, spec.tokens_per_sentence)))
+                else:
+                    sentences.append([next(draws) for _ in range(spec.tokens_per_sentence) if rng.random() < p_keep])
             for term in spec.planted:
                 if rng.random() >= term.probs[g]:
                     continue
@@ -140,9 +149,9 @@ def generate_corpus(spec: SyntheticSpec, scheme: Optional[GroupScheme] = None) -
                     target[pos : pos + len(term.tokens)] = list(term.tokens)
                 else:
                     sentences.append(list(term.tokens))
-            title = " ".join(rng.choice(vocab) for _ in range(_TITLE_TOKENS))
-            keywords = [rng.choice(vocab) for _ in range(_KEYWORD_COUNT)]
-            abstract = ". ".join(_capitalize(" ".join(s)) for s in sentences if s) + "."
+            title = " ".join(islice(draws, _TITLE_TOKENS))
+            keywords = list(islice(draws, _KEYWORD_COUNT))
+            abstract = ". ".join(map(_capitalize, map(" ".join, filter(None, sentences)))) + "."
             ident = f"syn-{doc_index:05d}"
             docs.append(
                 Document(
@@ -207,19 +216,12 @@ def evaluate_detector(
         outcome = analyze_scope(corpus, "all", config, min_abstract_chars)
         if outcome.skipped:
             raise RuntimeError(f"simulation {sim} produced a degenerate corpus: {outcome.skipped}")
-        significant = {r.term for r in outcome.results if r.significant}
         m_values.append(outcome.m)
         if outcome.threshold is not None:
             thresholds.append(outcome.threshold)
-        if effect_terms:
-            hits = sum(1 for t in effect_terms if t in significant)
-            recall_per_sim.append(hits / len(effect_terms))
-        else:
-            recall_per_sim.append(None)
-        has_fp = any(
-            all(tok not in planted_tokens for tok in term.split(" ")) for term in significant
-        )
-        fp_sims += 1 if has_fp else 0
+        hits = sum(t in outcome.significant for t in effect_terms)
+        recall_per_sim.append(hits / len(effect_terms) if effect_terms else None)
+        fp_sims += any(all(tok not in planted_tokens for tok in term.split(" ")) for term in outcome.significant)
 
     observed = [r for r in recall_per_sim if r is not None]
     return DetectorMetrics(

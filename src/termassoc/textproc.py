@@ -6,24 +6,27 @@ phrase ever spans a sentence or field boundary. Documents contribute presence
 sets: a term counts once per document no matter how often it occurs.
 
 The splitting and tokenizing rules are those stated in `split_sentences` and
-`tokenize`. The splitter tests only the '.', '!' or '?' that one regex scan
-finds followed by whitespace; the tests check it against a character-by-character
-reference implementation of the same rule.
+`tokenize`. The splitter tests only the spans one regex scan finds, a '.',
+'!' or '?' followed by whitespace, and tests a '.' with one lowercased slice
+per distinct abbreviation length against the set of abbreviations of that
+length. The tests check it against a character-by-character reference
+implementation of the same rule.
 
-`extract_terms` passes every token through a `vocab` dict that holds one
-string per distinct token: the term sets of all documents given the same
-dict share those strings instead of each holding its own copies. It keeps
-each text's token units in a `memo` dict under the text itself, so a document
-met again in a later scope is not split or tokenized again. A call given no
-memo takes a fresh one and so always tokenizes, by the same single body. One
-run shares one token table and one memo across its scopes, so each document
-is tokenized once per run.
+`extract_terms` tokenizes each unit by one `findall` and passes every token
+through a `vocab` dict that holds one string per distinct token: the term
+sets of all documents given the same dict share those strings instead of
+each holding its own copies. It keeps each text's token units in a `memo`
+dict under the text itself, so a document met again in a later scope is not
+split or tokenized again. A call given no memo takes a fresh one and so
+always tokenizes, by the same single body. One run shares one token table
+and one memo across its scopes, so each document is tokenized once per run.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .corpus import Document
@@ -48,6 +51,21 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence.lower())
 
 
+@lru_cache(maxsize=16)
+def _by_length(abbreviations: tuple[str, ...]) -> tuple[tuple[int, frozenset[str]], ...]:
+    """(length, the lowercased abbreviations of that length) for each distinct length; immutable, as it is cached."""
+    return tuple((n, frozenset(a.lower() for a in abbreviations if len(a) == n)) for n in set(map(len, abbreviations)))
+
+
+def _closes_abbreviation(text: str, end: int, by_length: tuple[tuple[int, frozenset[str]], ...]) -> bool:
+    """Whether the '.' at text[end - 1] closes an abbreviation of by_length."""
+    for n, lows in by_length:
+        # A length of 0 is the empty abbreviation, which closes every '.'.
+        if n <= end and text[end - n : end].lower() in lows and (n == end or not text[end - n - 1].isalnum()):
+            return True
+    return False
+
+
 def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
     """Split cleaned text into sentences.
 
@@ -57,7 +75,7 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
     the '.', equal it once both are lowercased, and the character before them,
     if any, is not alphanumeric.
     """
-    abbrs = [(len(abbr), abbr.lower()) for abbr in abbreviations]
+    by_length = _by_length(tuple(abbreviations))
     sentences = []
     start = 0
     for m in _CANDIDATE_RE.finditer(text):
@@ -65,10 +83,7 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
         if k == len(text) or not (text[k].isupper() or text[k].isdigit()):
             continue
         end = m.start() + 1
-        if text[end - 1] == "." and any(
-            n <= end and text[end - n : end].lower() == low and (n == end or not text[end - n - 1].isalnum())
-            for n, low in abbrs
-        ):
+        if text[end - 1] == "." and _closes_abbreviation(text, end, by_length):
             continue
         piece = text[start:end].strip()
         if piece:
@@ -133,5 +148,6 @@ def extract_terms(
     if units is None:
         share = ({} if vocab is None else vocab).setdefault
         texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-        units = memo[key] = [list(map(share, tokens, tokens)) for tokens in map(tokenize, texts) if tokens]
+        # tokenize(text) for each text, without a Python frame per unit.
+        units = memo[key] = [list(map(share, t, t)) for t in map(_TOKEN_RE.findall, map(str.lower, texts)) if t]
     return DocTermSet(units, n_max)

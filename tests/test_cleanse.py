@@ -41,6 +41,17 @@ def test_no_matching_rule_is_identity_modulo_whitespace():
     assert clean_abstract(text, default_rules()) == "Nothing here matches any rule."
 
 
+def test_clean_text_is_returned_as_is():
+    # A document whose abstract needs no cleaning keeps one string, not two equal ones.
+    rules = default_rules()
+    for text in ("Nothing here matches any rule.", "", "One. Two! Three?"):
+        assert clean_abstract(text, rules) is text
+        assert clean_abstract(text, []) is text
+    # Text a rule or the whitespace collapse changes is a new string.
+    assert clean_abstract("Two  spaces.", rules) == "Two spaces."
+    assert clean_abstract("Background: Body.", rules) == "Body."
+
+
 def test_open_access_statement_removed():
     text = "Real content. This is an open access article under the CC BY license. More content."
     cleaned = clean_abstract(text, default_rules())

@@ -31,7 +31,8 @@ def two_units_sharing_an_id():
 
 
 def words(outcome):
-    return {token for result in outcome.results for token in result.term.split(" ")}
+    """The tokens of the report's rows: with min_df 1 and no significant term, every tested token."""
+    return {token for row in outcome.report.rows for token in row.term.split(" ")}
 
 
 def test_documents_sharing_an_id_keep_their_own_text():
@@ -62,8 +63,10 @@ def test_group_sizes_count_documents_not_ids():
     assert outcome.group_sizes == [1, 1, 1]
 
     outcome = pipeline.analyze_scopes(two_units_sharing_an_id(), ["all"], CONFIG, [], 0)["all"]
-    assert outcome.results
-    assert all(r.table.group_sizes == tuple(outcome.group_sizes) == (2, 2, 2) for r in outcome.results)
+    assert outcome.report.rows
+    # Each row's proportions are counts over groups of (2, 2, 2) documents.
+    assert outcome.group_sizes == [2, 2, 2]
+    assert all(sum(p * 2 for p in row.proportions.values()) == row.n for row in outcome.report.rows)
 
 
 def test_scope_term_sets_share_one_string_per_token(monkeypatch):
@@ -253,7 +256,7 @@ def run_inputs(draw):
 
 def outcome_facts(outcome):
     reports = outcome.report and [emit_report(outcome.report, fmt) for fmt in FORMATS]
-    return reports, outcome.m, outcome.threshold, outcome.group_sizes, outcome.results, outcome.skipped
+    return reports, outcome.m, outcome.threshold, outcome.group_sizes, outcome.significant, outcome.skipped
 
 
 @given(run_inputs())

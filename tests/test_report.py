@@ -26,7 +26,6 @@ def result(term, chi2, direction="4", significant=True, present=(1, 2, 7)):
         table=table,
         chi2=chi2,
         df=2,
-        p_value=max(1e-12, 2.7 ** (-chi2 / 2) if chi2 else 1.0),
         significant=significant,
         direction=direction,
         proportions=props,

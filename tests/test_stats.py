@@ -48,17 +48,17 @@ def random_table(rng, max_n=10_000, groups=3):
 
 def test_chi_square_proportion_identical_is_zero():
     # identical percentages (e.g. all 2%) must give exactly zero
-    assert chi_square(ContingencyTable((100, 100, 100), (2, 2, 2))) == 0.0
-    assert chi_square(ContingencyTable((100, 200, 300), (1, 2, 3))) == 0.0
+    assert chi_square((100, 100, 100), (2, 2, 2)) == 0.0
+    assert chi_square((100, 200, 300), (1, 2, 3)) == 0.0
 
 
 def test_chi_square_derived_values():
     # frozen from the exact-rational oracle: 600/23 and 32.5 + 65/73
-    stat = chi_square(ContingencyTable((100, 100, 100), (10, 20, 40)))
+    stat = chi_square((100, 100, 100), (10, 20, 40))
     assert stat == pytest.approx(26.087, abs=1e-3)
     assert stat == pytest.approx(float(Fraction(600, 23)), rel=1e-12)
 
-    stat = chi_square(ContingencyTable((1000, 1000, 1000), (10, 20, 50)))
+    stat = chi_square((1000, 1000, 1000), (10, 20, 50))
     assert stat == pytest.approx(33.39, abs=1e-2)
     assert stat == pytest.approx(32.5 + 65 / 73, rel=1e-12)
 
@@ -66,8 +66,8 @@ def test_chi_square_derived_values():
 def test_chi_square_degenerate_terms_score_zero():
     all_absent = ContingencyTable((10, 10), (0, 0))
     all_present = ContingencyTable((10, 10), (10, 10))
-    assert chi_square(all_absent) == 0.0
-    assert chi_square(all_present) == 0.0
+    assert chi_square(all_absent.group_sizes, all_absent.present) == 0.0
+    assert chi_square(all_present.group_sizes, all_present.present) == 0.0
     for table in (all_absent, all_present):
         assert not 0 < table.total_present < sum(table.group_sizes)
     mixed = ContingencyTable((10, 10), (3, 5))
@@ -78,7 +78,7 @@ def test_chi_square_matches_exact_oracle():
     rng = random.Random(20240917)
     for _ in range(300):
         table = random_table(rng)
-        got = chi_square(table)
+        got = chi_square(table.group_sizes, table.present)
         want = float(chi_square_exact(table.group_sizes, table.present))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -90,7 +90,7 @@ def test_chi_square_matches_scipy(cells):
     assume(0 < table.total_present < sum(table.group_sizes))
     observed = [[k, n - k] for n, k in cells]
     want = scipy.stats.chi2_contingency(observed, correction=False)[0]
-    assert chi_square(table) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert chi_square(table.group_sizes, table.present) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_chi_square_group_permutation_invariant():
@@ -103,7 +103,8 @@ def test_chi_square_group_permutation_invariant():
             tuple(table.group_sizes[i] for i in perm),
             tuple(table.present[i] for i in perm),
         )
-        assert chi_square(permuted) == pytest.approx(chi_square(table), rel=1e-12)
+        assert chi_square(permuted.group_sizes, permuted.present) == pytest.approx(
+            chi_square(table.group_sizes, table.present), rel=1e-12)
 
 
 def test_chi_square_scaling_homogeneity():
@@ -116,14 +117,15 @@ def test_chi_square_scaling_homogeneity():
             tuple(c * n for n in table.group_sizes),
             tuple(c * k for k in table.present),
         )
-        assert chi_square(scaled) == pytest.approx(c * chi_square(table), rel=1e-12)
+        assert chi_square(scaled.group_sizes, scaled.present) == pytest.approx(
+            c * chi_square(table.group_sizes, table.present), rel=1e-12)
 
 
 def test_chi_square_nonnegative_and_zero_iff_proportional():
     rng = random.Random(3)
     for _ in range(200):
         table = random_table(rng, max_n=50)
-        stat = chi_square(table)
+        stat = chi_square(table.group_sizes, table.present)
         assert stat >= 0.0
         if 0 < table.total_present < sum(table.group_sizes):
             proportional = len({Fraction(k, n) for n, k in zip(table.group_sizes, table.present)}) == 1
@@ -198,19 +200,19 @@ def test_threshold_monotone_in_m():
 # ------------------------------------------------------------------- direction
 
 def test_direction_picks_max_proportion():
-    idx, props = direction(ContingencyTable((100, 100, 100), (10, 20, 40)))
+    idx, props = direction((100, 100, 100), (10, 20, 40))
     assert idx == 2
     assert props == [0.1, 0.2, 0.4]
 
 
 def test_direction_funded_by_illustration():
     # presence of 1% / 2% / 5% points at the top group
-    idx, _ = direction(ContingencyTable((1000, 1000, 1000), (10, 20, 50)))
+    idx, _ = direction((1000, 1000, 1000), (10, 20, 50))
     assert idx == 2
 
 
 def test_direction_tie_breaks_low():
-    idx, _ = direction(ContingencyTable((100, 100, 100), (5, 5, 5)))
+    idx, _ = direction((100, 100, 100), (5, 5, 5))
     assert idx == 0
 
 
@@ -225,9 +227,11 @@ def test_build_tables_counts_documents_not_occurrences():
     term_sets = _sets({"x"}, {"x"}, {"x", "y"}, {"y"}, set())
     groups = [0, 0, 1, 1, 1]
     tables = build_tables(term_sets, groups, 2, min_df=1)
-    assert tables["x"].group_sizes == (2, 3)
-    assert tables["x"].present == (2, 1)
-    assert tables["y"].present == (0, 2)
+    assert tables["x"] == (2, 1)
+    assert tables["y"] == (0, 2)
+    # The group sizes (2, 3) are the caller's: the report's tables carry them.
+    results, _, _ = compute_term_results(tables, (2, 3), ["a", "b"])
+    assert [r.table.group_sizes for r in results] == [(2, 3), (2, 3)]
 
 
 def test_build_tables_min_df_excludes_rare_terms():
@@ -243,8 +247,9 @@ def test_build_tables_two_groups_example():
     term_sets = _sets({"t"}, set(), {"t"}, {"t"}, set())
     groups = [0, 0, 1, 1, 1]
     tables = build_tables(term_sets, groups, 2, min_df=1)
-    assert tables["t"].group_sizes == (2, 3)
-    assert tables["t"].present == (1, 2)
+    assert tables["t"] == (1, 2)
+    (result,), _, _ = compute_term_results(tables, (2, 3), ["a", "b"])
+    assert result.table == ContingencyTable((2, 3), (1, 2))
 
 
 def test_build_tables_errors():
@@ -287,11 +292,7 @@ def build_tables_oracle(term_sets, groups, n_groups, min_df):
             present.update(iter_ngrams(tokens, ts.n_max))
         for term in present:
             counts.setdefault(term, [0] * n_groups)[g] += 1
-    return {
-        term: ContingencyTable(tuple(sizes), tuple(row))
-        for term, row in counts.items()
-        if sum(row) >= min_df
-    }
+    return {term: tuple(row) for term, row in counts.items() if sum(row) >= min_df}
 
 
 # A four-token vocabulary repeats grams within and across documents.
@@ -306,7 +307,7 @@ def tabulation_inputs(draw):
     groups = [i if i < 3 else draw(st.integers(0, 2)) for i in range(n_docs)]
     # Either any floor up to one past the corpus size, or exactly the document
     # frequency of some gram, so sub-phrase counts land on min_df.
-    dfs = sorted({sum(t.present) for t in build_tables_oracle(term_sets, groups, 3, 1).values()})
+    dfs = sorted({sum(row) for row in build_tables_oracle(term_sets, groups, 3, 1).values()})
     floors = st.integers(1, n_docs + 1)
     min_df = draw(st.one_of(floors, st.sampled_from(dfs)) if dfs else floors)
     return term_sets, groups, min_df, draw(st.permutations(list(zip(term_sets, groups))))
@@ -348,7 +349,7 @@ def test_compute_results_significance_flag_equivalence():
     ]
     groups = [i % 3 for i in range(300)]
     tables = build_tables(term_sets, groups, 3, min_df=5)
-    results, m, threshold = compute_term_results(tables, ["low", "3", "4"], alpha=0.05)
+    results, m, threshold = compute_term_results(tables, (100, 100, 100), ["low", "3", "4"], alpha=0.05)
     assert m == len(tables) > 0
     for r in results:
         assert r.significant == (r.chi2 >= threshold)
@@ -361,8 +362,26 @@ def test_compute_results_significance_flag_equivalence():
         assert r.direction in ("low", "3", "4")
 
 
+def test_compute_results_are_the_terms_a_report_can_show():
+    sizes = (100, 100, 100)
+    flat = {f"flat{i}": (10 + i % 2, 10, 11) for i in range(20)}
+    # Nothing significant: every term is shown, as the report falls back to all of them.
+    results, m, threshold = compute_term_results(flat, sizes, ["low", "3", "4"])
+    assert m == 20 and [r.term for r in results] == sorted(flat)
+    assert not any(r.significant for r in results)
+    # One significant term crowds out the rest; m and the threshold still count every term.
+    tables = {**flat, "strong": (2, 10, 60)}
+    results, m, strong_threshold = compute_term_results(tables, sizes, ["low", "3", "4"])
+    assert m == 21 and strong_threshold == bonferroni_threshold(0.05, 21, 2)
+    (result,) = results
+    assert (result.term, result.significant, result.direction) == ("strong", True, "4")
+    assert result.chi2 == chi_square(sizes, (2, 10, 60))
+    assert result.p_value == chi_sq_survival(result.chi2, 2)
+    assert result.proportions == (0.02, 0.1, 0.6)
+
+
 def test_compute_results_empty():
-    results, m, threshold = compute_term_results({}, ["low", "3", "4"])
+    results, m, threshold = compute_term_results({}, (1, 1, 1), ["low", "3", "4"])
     assert results == [] and m == 0 and threshold is None
 
 

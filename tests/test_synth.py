@@ -1,12 +1,14 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from termassoc.corpus import default_group_scheme
+from termassoc.corpus import Document, default_group_scheme
 from termassoc.pipeline import analyze_scope, clean_documents
 from termassoc.stats import AnalysisConfig
 from termassoc.synth import (
@@ -53,6 +55,77 @@ def test_same_seed_byte_identical():
     assert corpus_fingerprint(generate_corpus(spec)) == corpus_fingerprint(generate_corpus(spec))
     other = dataclasses.replace(spec, seed=8)
     assert corpus_fingerprint(generate_corpus(other)) != corpus_fingerprint(generate_corpus(spec))
+
+
+def reference_generate_corpus(spec):
+    """The generator as written with one `rng.choice(vocab)` call per token."""
+
+    def capitalize(sentence):
+        return sentence[0].upper() + sentence[1:] if sentence else sentence
+
+    scheme = default_group_scheme()
+    rng = random.Random(spec.seed)
+    vocab = background_vocabulary(spec.vocab_size)
+    docs = []
+    doc_index = 0
+    for g, size in enumerate(spec.group_sizes):
+        scores = sorted(scheme.groups[g][1])
+        for j in range(size):
+            sentences = []
+            for _ in range(spec.sentences_per_doc):
+                tokens = []
+                for _ in range(spec.tokens_per_sentence):
+                    if spec.token_inclusion_prob >= 1.0 or rng.random() < spec.token_inclusion_prob:
+                        tokens.append(rng.choice(vocab))
+                sentences.append(tokens)
+            for term in spec.planted:
+                if rng.random() >= term.probs[g]:
+                    continue
+                fits = [s for s in sentences if len(s) >= len(term.tokens)]
+                if fits:
+                    target = fits[rng.randrange(len(fits))]
+                    pos = rng.randrange(len(target) - len(term.tokens) + 1)
+                    target[pos : pos + len(term.tokens)] = list(term.tokens)
+                else:
+                    sentences.append(list(term.tokens))
+            title = " ".join(rng.choice(vocab) for _ in range(3))
+            keywords = [rng.choice(vocab) for _ in range(2)]
+            abstract = ". ".join(capitalize(" ".join(s)) for s in sentences if s) + "."
+            ident = f"syn-{doc_index:05d}"
+            docs.append(Document(id=ident, doi=f"10.9999/{ident}", title=capitalize(title),
+                                 journal="Journal of Synthetic Results", abstract_raw=abstract, keywords=keywords,
+                                 unit="1", score=scores[j % len(scores)], submitter="synthlab"))
+            doc_index += 1
+    return docs
+
+
+@pytest.mark.parametrize("vocab_size", [1, 2, 255, 256, 257, 400])
+@pytest.mark.parametrize("inclusion", [1.0, 0.5])
+@pytest.mark.parametrize("planted", [(), (PlantedTerm(("zza", "zzb"), (0.2, 0.4, 0.9)),
+                                          PlantedTerm(("zzc",), (0.5, 0.5, 0.5)))])
+def test_generate_corpus_matches_the_choice_reference(vocab_size, inclusion, planted):
+    # Vocabulary sizes around a power of two catch a wrong bit width; a draw
+    # taken early or late shifts every later random() and randrange() call.
+    spec = small_spec(group_sizes=(6, 5, 7), vocab_size=vocab_size, tokens_per_sentence=5,
+                      token_inclusion_prob=inclusion, planted=list(planted), seed=vocab_size)
+    got = generate_corpus(spec)
+    want = reference_generate_corpus(spec)
+    assert len(got) == len(want) == 18
+    for a, b in zip(got, want):
+        assert a == b
+
+
+def test_fixture_regeneration_reproduces_the_committed_bytes(tmp_path, monkeypatch):
+    # The fixture script draws its synthetic units from generate_corpus, so
+    # this pins the draw stream end to end, as the script's docstring promises.
+    tests_dir = Path(__file__).parent
+    module_spec = importlib.util.spec_from_file_location("make_fixtures", tests_dir / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "FIXTURE_DIR", tmp_path)
+    make_fixtures.main()
+    for name in ("scores.jsonl", "metadata.jsonl", "synth_spec.json"):
+        assert (tmp_path / name).read_bytes() == (tests_dir / "fixtures" / name).read_bytes(), name
 
 
 def test_planted_presence_counts_frozen():
@@ -219,9 +292,9 @@ def test_detector_invariant_to_document_shuffling():
     docs = clean_documents(generate_corpus(spec), [])
     cfg = detector_config()
     base = analyze_scope(docs, "all", cfg, min_abstract_chars=0)
-    base_sig = {r.term for r in base.results if r.significant}
+    base_sig = base.significant
     shuffled = docs[:]
     random.Random(99).shuffle(shuffled)
     again = analyze_scope(shuffled, "all", cfg, min_abstract_chars=0)
-    assert {r.term for r in again.results if r.significant} == base_sig
+    assert again.significant == base_sig
     assert again.m == base.m and again.threshold == base.threshold

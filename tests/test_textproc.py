@@ -134,9 +134,11 @@ def reference_split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
 WHITESPACE = [" ", *(chr(c) for c in range(0x3001) if chr(c).isspace())]
 # Edge characters: titlecase ǅ is not isupper(), Arabic-Indic ٣ and superscript
 # ² are digits, ½ and Ⅷ are numeric but not digits, İ lowercases to two code
-# points, and _ - ' ’ are not alphanumeric.
+# points, ẞ lowercases to ß, a Σ that ends a word lowercases to ς only in
+# context, and _ - ' ’ are not alphanumeric.
 FRAGMENTS = [
     *DEFAULT_ABBREVIATIONS, "E.G.", "ET AL.", "fig.", "no.", "İ.", "İ", "Proc.", "x.",
+    "ẞ", "ẞ.", "STRAẞE.", "Σ", "Σ.", "ΑΣ.", "ΟΔΟΣ. Α", "wΣ.",
     ".", "!", "?", "...", ". A", "! B", "? 7", ". ǅ", ". ٣", ". ²", ".\u2003½", "!\n\nZ", "? Ⅷ",
     "ǅ", "٣", "²", "½", "Ⅷ", "_", "-", "'", "’", "A", "a", "Z", "q", "7", "ß",
     "word", "Word", "WORD", "tok00042", "p53", "double-blind", "crohn’s", "don't", "naïve", "é", "(",
@@ -144,7 +146,10 @@ FRAGMENTS = [
 TEXT = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.sampled_from(WHITESPACE)), max_size=30).map("".join)
 ABBREVIATIONS = st.one_of(
     st.just(DEFAULT_ABBREVIATIONS),
-    st.lists(st.sampled_from(["İ.", "i̇.", "Proc.", "x.", "ǅ.", "a", "", "e.g.", "Et Al."]), max_size=4).map(tuple),
+    # The empty abbreviation closes every '.': no '.' is a boundary.
+    st.just(("",)),
+    st.lists(st.sampled_from(["İ.", "i̇.", "Proc.", "x.", "ǅ.", "a", "", "e.g.", "Et Al.",
+                              "ẞ.", "ß.", "Σ.", "σ.", "ς.", "ας.", "Straße."]), max_size=4).map(tuple),
 )
 
 
@@ -247,10 +252,17 @@ def test_extract_respects_nmax_length():
     assert all(t.count(" ") <= 2 for t in terms)
 
 
+# Words whose case mapping changes them, with the tokens extraction makes of
+# them anywhere in a unit: İ lowercases to i and a combining dot, which is no
+# word character; ẞ lowercases to ß; a Σ that ends a word, as before the '.'
+# closing a sentence, lowercases to the final ς.
+CASE_CHANGING_WORDS = {"wİ": ["wi"], "wẞ": ["wß"], "wΣ": ["wς"], "wΣw": ["wσw"]}
+
+
 def test_fuzz_extraction_matches_bruteforce_per_unit():
     # oracle: enumerate n-grams over the generator's own token lists
     rng = random.Random(123)
-    vocab = [f"w{i}" for i in range(40)]
+    vocab = [f"w{i}" for i in range(40)] + list(CASE_CHANGING_WORDS)
     for _ in range(150):
         n_max = rng.randint(1, 6)
         sentences = [
@@ -267,8 +279,11 @@ def test_fuzz_extraction_matches_bruteforce_per_unit():
         )
         expected = set()
         units = [title_tokens] + sentences + [k.split() for k in keywords]
-        for unit in units:
+        for words in units:
+            unit = [token for word in words for token in CASE_CHANGING_WORDS.get(word, [word])]
             for n in range(1, n_max + 1):
                 for start in range(len(unit) - n + 1):
                     expected.add(" ".join(unit[start : start + n]))
         assert extract_terms(doc, n_max).terms == expected
+        # The same abstract under the empty abbreviation is one sentence: it closes every '.'.
+        assert split_sentences(abstract, ("",)) == reference_split_sentences(abstract, ("",)) == [abstract]
