@@ -116,8 +116,8 @@ def _read_documents(path: str, label: str) -> list[corpus.Document]:
         logger.error("%s:%d: %s", path, lineno, msg)
     if parsed.errors:
         print(f"warning: {len(parsed.errors)} malformed record(s) skipped in {path}", file=sys.stderr)
-    if parsed.warnings:
-        logger.info("%s: %d record(s) without an abstract", path, len(parsed.warnings))
+    if parsed.missing_abstracts:
+        logger.info("%s: %d record(s) without an abstract", path, parsed.missing_abstracts)
     return parsed.documents
 
 

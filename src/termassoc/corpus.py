@@ -111,7 +111,7 @@ class Document:
             "title": self.title,
             "journal": self.journal,
             "abstract": self.abstract_raw,
-            "keywords": list(self.keywords),
+            "keywords": self.keywords,
             "unit": self.unit,
             "panel": self.panel,
             "score": self.score,
@@ -124,9 +124,11 @@ class Document:
 
 @dataclass
 class ParseResult:
+    """The parsed Documents, the malformed lines, and how many records had no abstract."""
+
     documents: list[Document]
     errors: list[tuple[int, str]]   # (1-based line number, diagnostic)
-    warnings: list[tuple[int, str]]
+    missing_abstracts: int
 
 
 _STR_FIELDS = ("id", "doi", "title", "journal", "abstract", "abstract_clean", "unit", "panel", "submitter")
@@ -138,13 +140,13 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     Malformed records are collected as (line, diagnostic) pairs and parsing
     continues; nothing is silently dropped. A repeated id is malformed: the
     later record is reported and skipped. Records missing an abstract parse
-    with empty text and a warning, so linkage statistics stay computable.
+    with empty text and are counted, so linkage statistics stay computable.
     Records of one stream share one string per distinct journal, unit,
     panel, submitter or keyword.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
-    warnings: list[tuple[int, str]] = []
+    missing_abstracts = 0
     first_line: dict[str, int] = {}   # id -> line it first appeared on
     share = {}.setdefault   # these field values repeat across records: keep one string each
     for lineno, line in enumerate(stream, start=1):
@@ -171,7 +173,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
             continue
         first_line[raw["id"]] = lineno
         if "abstract" not in raw:
-            warnings.append((lineno, f"record {raw['id']!r} has no abstract; using empty text"))
+            missing_abstracts += 1
         journal = raw.get("journal") or ""
         unit = raw.get("unit") or ""
         panel = raw.get("panel") or ""
@@ -192,7 +194,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 submitter=share(submitter, submitter),
             )
         )
-    return ParseResult(documents, errors, warnings)
+    return ParseResult(documents, errors, missing_abstracts)
 
 
 def _validate_record(raw: dict) -> Optional[str]:
@@ -438,7 +440,7 @@ def merge_linked(score_records: list[Document], metadata: list[Document], link: 
                 title=meta.title or rec.title,
                 journal=meta.journal or rec.journal,
                 abstract_raw=meta.abstract_raw,
-                keywords=list(meta.keywords),
+                keywords=meta.keywords,
                 unit=rec.unit,
                 panel=rec.panel,
                 score=rec.score,
@@ -484,14 +486,8 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
             out.append(keeper)
             continue
         n = len(scores)
-        if n % 2 == 1:
-            score = scores[n // 2]
-        else:
-            lo, hi = scores[n // 2 - 1], scores[n // 2]
-            if lo == hi:
-                score = lo
-            else:
-                score = random.Random(derive_seed(seed, identity)).choice((lo, hi))
+        lo, hi = scores[(n - 1) // 2], scores[n // 2]
+        score = lo if lo == hi else random.Random(derive_seed(seed, identity)).choice((lo, hi))
         out.append(dataclasses.replace(keeper, score=score))
     return out
 

@@ -31,7 +31,7 @@ class ReportRow:
 
     @classmethod
     def from_result(cls, result: TermResult, labels: list[str]) -> "ReportRow":
-        return cls(result.term, result.table.total_present, result.chi2, result.p_value, result.significant,
+        return cls(result.term, result.n, result.chi2, result.p_value, result.significant,
                    result.direction, dict(zip(labels, result.proportions)))
 
 

@@ -2,6 +2,8 @@
 
 Every term gets a groups x {present, absent} table of document counts (not
 occurrence counts): the scope's group sizes N_g and the term's counts k_g.
+`build_tables` maps each term to its count tuple, the group sizes stay with
+the caller, and a result keeps the tuple's sum as `n`.
 The Pearson statistic is compared against a critical value derived from the
 Bonferroni-corrected significance level: with m terms tested at level alpha,
 a term is significant when its statistic reaches the point where the
@@ -25,31 +27,6 @@ from .textproc import N_MAX_LIMIT, DocTermSet
 _MAX_ITER = 500
 _EPS = 1e-16
 _TINY = 1e-300
-
-
-@dataclass
-class ContingencyTable:
-    """Per-group totals N_g and counts k_g of documents containing a term."""
-
-    group_sizes: tuple[int, ...]
-    present: tuple[int, ...]
-
-    def __post_init__(self):
-        self.group_sizes = tuple(self.group_sizes)
-        self.present = tuple(self.present)
-        if len(self.group_sizes) < 2:
-            raise ValueError("need at least 2 groups")
-        if len(self.present) != len(self.group_sizes):
-            raise ValueError("present counts must align with group sizes")
-        if sum(self.group_sizes) <= 0:
-            raise ValueError("total document count must be positive")
-        for n_g, k_g in zip(self.group_sizes, self.present):
-            if not 0 <= k_g <= n_g:
-                raise ValueError(f"present count {k_g} outside [0, {n_g}]")
-
-    @property
-    def total_present(self) -> int:
-        return sum(self.present)
 
 
 def chi_square(group_sizes: tuple[int, ...], present: tuple[int, ...]) -> float:
@@ -182,7 +159,7 @@ class TermResult:
     """A tested term with its statistic, significance call and direction; the p-value is computed when read."""
 
     term: str
-    table: ContingencyTable
+    n: int                            # documents containing the term, over all groups
     chi2: float
     df: int
     significant: bool
@@ -338,6 +315,6 @@ def compute_term_results(
     results = []
     for term in sorted(shown):
         best, props = direction(group_sizes, tables[term])
-        results.append(TermResult(term, ContingencyTable(group_sizes, tables[term]), stats[term], df,
-                                  stats[term] >= threshold, labels[best], tuple(props)))
+        results.append(TermResult(term, sum(tables[term]), stats[term], df, stats[term] >= threshold,
+                                  labels[best], tuple(props)))
     return results, m, threshold

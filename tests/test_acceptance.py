@@ -18,7 +18,6 @@ from termassoc.corpus import Document, dedup_within_unit, filter_documents
 from termassoc.report import build_scope_report, render_csv
 from termassoc.stats import (
     AnalysisConfig,
-    ContingencyTable,
     TermResult,
     bonferroni_threshold,
     chi_sq_survival,
@@ -277,8 +276,8 @@ def test_criterion_09_filter_boundary():
 def test_criterion_10_subsumption():
     # report-level fixture: both phrases top-ranked, same direction
     def result(term, chi2):
-        table = ContingencyTable((500, 500, 500), (5, 10, 60))
-        return TermResult(term, table, chi2, 2, True, "4", (0.01, 0.02, 0.12))
+        return TermResult(term, n=5 + 10 + 60, chi2=chi2, df=2, significant=True, direction="4",
+                          proportions=(0.01, 0.02, 0.12))
 
     results = [result("we show", 80.0), result("here we show that", 61.0),
                result("unrelated", 45.0)]

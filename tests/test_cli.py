@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import logging
 import os
 import re
 import shlex
@@ -62,6 +63,15 @@ def test_link_counts_tiny_fixture(tiny, tmp_path, capsys):
     assert len(report) == 4
     comment_row = next(l for l in report if l.startswith("r3,"))
     assert ",title_journal,true," in comment_row
+
+
+def test_link_logs_one_count_of_records_without_an_abstract(tiny, tmp_path, caplog):
+    scores, metadata = tiny
+    caplog.set_level(logging.INFO)
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "out")) == 0
+    # Every scores record lacks an abstract; every metadata record has one.
+    counted = [r.getMessage() for r in caplog.records if "without an abstract" in r.getMessage()]
+    assert counted == [f"{scores}: 3 record(s) without an abstract"]
 
 
 def test_link_two_matchable_one_not(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_parse_round_trip_all_fields():
         "unit": "3", "panel": "A", "score": 4, "submitter": "uni-x",
     }
     parsed = parse_records(lines(rec))
-    assert not parsed.errors and not parsed.warnings
+    assert not parsed.errors and not parsed.missing_abstracts
     (doc,) = parsed.documents
     assert (doc.id, doc.doi, doc.title, doc.journal) == ("r1", "10.1/ab", "T", "J")
     assert doc.abstract_raw == "Some text."
@@ -61,7 +61,7 @@ def test_parse_missing_abstract_warns_and_defaults_empty():
     parsed = parse_records(lines({"id": "r1", "score": 3, "unit": "2"}))
     (doc,) = parsed.documents
     assert doc.abstract_raw == ""
-    assert len(parsed.warnings) == 1
+    assert parsed.missing_abstracts == 1
 
 
 def test_parse_score_zero_retained():

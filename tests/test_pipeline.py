@@ -152,11 +152,13 @@ def test_clean_documents_keeps_every_field_but_the_clean_abstract():
     values = {"id": "d7", "doi": "10.1/x", "title": "A title", "journal": "A journal",
               "abstract_raw": "Raw  text here.", "abstract_clean": "stale", "keywords": ["k one"],
               "unit": "12", "panel": "C", "score": 3, "submitter": "uni-y"}
-    # Every declared field is set to a value of its own, so a field the copy drops or moves shows.
+    # Every declared field is set to a value of its own, so a field cleaning drops or moves shows.
     assert set(values) == {f.name for f in dataclasses.fields(Document)}
-    (copy,) = pipeline.clean_documents([Document(**values)], [])
+    doc = Document(**values)
+    (cleaned,) = pipeline.clean_documents([doc], [])
+    assert cleaned is doc
     expected = dict(values, abstract_clean=clean_abstract(values["abstract_raw"], []))
-    assert {name: getattr(copy, name) for name in values} == expected
+    assert {name: getattr(cleaned, name) for name in values} == expected
 
 
 SENTENCE = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=6).map(

@@ -13,17 +13,16 @@ from termassoc.report import (
     render_text,
     subsume,
 )
-from termassoc.stats import ContingencyTable, TermResult
+from termassoc.stats import TermResult
 
 LABELS = ["low", "3", "4"]
 
 
 def result(term, chi2, direction="4", significant=True, present=(1, 2, 7)):
-    table = ContingencyTable((50, 50, 50), present)
     props = tuple(k / n for k, n in zip(present, (50, 50, 50)))
     return TermResult(
         term=term,
-        table=table,
+        n=sum(present),
         chi2=chi2,
         df=2,
         significant=significant,
