@@ -53,10 +53,6 @@ _APPLIERS = {
 RULE_KINDS = tuple(_APPLIERS)
 
 
-class RuleConfigError(ValueError):
-    """A cleaning rule failed validation at load time."""
-
-
 @dataclass
 class CleaningRule:
     kind: str
@@ -65,14 +61,15 @@ class CleaningRule:
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
-            raise RuleConfigError(f"unknown rule kind {self.kind!r}")
+            raise ValueError(f"unknown rule kind {self.kind!r}")
+        # Validate the regexes that run: a wrapping kind moves a global flag such as (?i) off the start.
         try:
             compiled = re.compile(self.pattern)
+            self._apply = _APPLIERS[self.kind](self.pattern)
         except re.error as exc:
-            raise RuleConfigError(f"invalid pattern {self.pattern!r}: {exc}") from exc
+            raise ValueError(f"invalid pattern {self.pattern!r}: {exc}") from exc
         if compiled.search("") is not None:
-            raise RuleConfigError(f"pattern {self.pattern!r} matches the empty string")
-        self._apply = _APPLIERS[self.kind](self.pattern)
+            raise ValueError(f"pattern {self.pattern!r} matches the empty string")
 
     def apply(self, text: str) -> str:
         return self._apply(text)
@@ -93,15 +90,15 @@ def load_rules(source) -> list[CleaningRule]:
 
     Each entry is an object {"kind": str, "pattern": str, "enabled": bool};
     enabled defaults to true. A malformed or invalid entry raises
-    RuleConfigError naming it.
+    ValueError naming it.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         entries = read_json(source, "rule file")
     else:
         entries = source
     if not isinstance(entries, list):
-        raise RuleConfigError("rule file must contain a JSON list of rule objects")
-    return [CleaningRule(**check_json(entry, CleaningRule, f"rule {i}", RuleConfigError))
+        raise ValueError("rule file must contain a JSON list of rule objects")
+    return [CleaningRule(**check_json(entry, CleaningRule, f"rule {i}"))
             for i, entry in enumerate(entries, start=1)]
 
 

@@ -216,12 +216,13 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
             skipped.append({"id": scope, "reason": outcome.skipped})
             print(f"scope {scope} skipped: {outcome.skipped}")
             continue
+        report = outcome.report
         for fmt, (ext, _) in FORMATS.items():
-            corpus.write_atomic(out / f"{stems[scope]}.{ext}", [emit_report(outcome.report, fmt)])
-        manifest_scopes.append({"id": scope, "n_docs": outcome.group_sizes, "m": outcome.m,
-                                "threshold": outcome.threshold})
-        flag = " (illustrative)" if outcome.report.illustrative else ""
-        print(f"scope {scope}: {len(outcome.report.rows)} term(s), m={outcome.m}{flag}")
+            corpus.write_atomic(out / f"{stems[scope]}.{ext}", [emit_report(report, fmt)])
+        manifest_scopes.append({"id": scope, "n_docs": outcome.group_sizes, "m": report.m,
+                                "threshold": report.threshold})
+        flag = " (illustrative)" if report.illustrative else ""
+        print(f"scope {scope}: {len(report.rows)} term(s), m={report.m}{flag}")
     manifest = {"config_hash": cfg.config_hash(rules), "seed": cfg.seed, "scopes": manifest_scopes,
                 "skipped": skipped}
     _write_json(out / "manifest.json", manifest)

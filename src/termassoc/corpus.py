@@ -42,10 +42,6 @@ SUSPICIOUS_TITLE_CHARS = 20
 SCOPE_KINDS = ("unit", "panel")
 
 
-class PipelineOrderError(RuntimeError):
-    """A stage ran before one of its prerequisites."""
-
-
 def normalize_doi(doi) -> Optional[str]:
     """Lowercase and strip a DOI; empty or missing values become None."""
     if not doi:
@@ -282,8 +278,8 @@ def _matches_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def check_json(value, hint, what: str, error: type[ValueError] = ValueError):
-    """Return a parsed JSON value unchanged if it fits hint, else raise error naming what.
+def check_json(value, hint, what: str):
+    """Return a parsed JSON value unchanged if it fits hint, else raise ValueError naming what.
 
     Nothing is coerced: "12" is not 12 and "false" is not false. A dataclass
     hint means a JSON object holding its fields: an unknown key, a missing
@@ -292,21 +288,21 @@ def check_json(value, hint, what: str, error: type[ValueError] = ValueError):
     """
     if not dataclasses.is_dataclass(hint):
         if not _matches_type(value, hint):
-            raise error(f"{what} has the wrong type: {value!r}")
+            raise ValueError(f"{what} has the wrong type: {value!r}")
         return value
     if not isinstance(value, dict):
-        raise error(f"{what} must be a JSON object, got {value!r}")
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
     fields = {f.name: f for f in dataclasses.fields(hint)}
     unknown = sorted(set(value) - set(fields))
     if unknown:
-        raise error(f"{what} has unknown key(s): {unknown}")
+        raise ValueError(f"{what} has unknown key(s): {unknown}")
     missing = [name for name, f in fields.items() if name not in value
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise error(f"{what} is missing required key(s): {missing}")
+        raise ValueError(f"{what} is missing required key(s): {missing}")
     hints = get_type_hints(hint)
     for key, item in value.items():
-        check_json(item, hints[key], f"{what} key {key!r}", error)
+        check_json(item, hints[key], f"{what} key {key!r}")
     return value
 
 
@@ -488,7 +484,7 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
         n = len(scores)
         lo, hi = scores[(n - 1) // 2], scores[n // 2]
         score = lo if lo == hi else random.Random(derive_seed(seed, identity)).choice((lo, hi))
-        out.append(dataclasses.replace(keeper, score=score))
+        out.append(keeper if score == keeper.score else dataclasses.replace(keeper, score=score))
     return out
 
 
@@ -502,15 +498,13 @@ def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> Fil
 
     Lengths are counted in Unicode characters of abstract_clean; the boundary
     is strict ("shorter than"), so a text of exactly min_abstract_chars stays.
-    Cleaning must already have run: a missing abstract_clean is an ordering
-    error, not a removable document.
+    Cleaning must already have run: a missing abstract_clean raises
+    ValueError, as in extract_terms; it is not a removable document.
     """
     kept = []
     for doc in docs:
         if doc.abstract_clean is None:
-            raise PipelineOrderError(
-                f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering"
-            )
+            raise ValueError(f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering")
         if doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars:
             kept.append(doc)
     return FilterResult(kept)

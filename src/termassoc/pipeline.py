@@ -22,10 +22,12 @@ from .textproc import UnitMemo, extract_terms
 
 @dataclass
 class ScopeOutcome:
-    scope: str
+    """One scope's report, or why the scope was skipped.
+
+    The report holds the scope id, m and the threshold; the outcome adds what
+    a report does not carry: the group sizes and every significant term.
+    """
     report: Optional[ScopeReport] = None
-    m: int = 0
-    threshold: Optional[float] = None
     group_sizes: list[int] = field(default_factory=list)
     significant: dict[str, str] = field(default_factory=dict)    # significant term -> direction
     skipped: Optional[str] = None
@@ -94,14 +96,14 @@ def analyze_scope(
     """
     subset = select_scope(docs, scope)
     if not subset:
-        return ScopeOutcome(scope, skipped="no documents in scope")
+        return ScopeOutcome(skipped="no documents in scope")
 
     # Every document of a unit: or panel: scope shares that unit or panel, so
     # deduping the subset by identity alone ("all") gives the same groups.
     deduped = dedup_within_unit(subset, "all", config.seed)
     filtered = filter_documents(deduped, min_abstract_chars)
     if not filtered.documents:
-        return ScopeOutcome(scope, skipped="no documents after filtering")
+        return ScopeOutcome(skipped="no documents after filtering")
 
     scheme = config.group_scheme
     # Every kept score is 1-4 and a GroupScheme covers exactly those, so each has a group.
@@ -109,7 +111,7 @@ def analyze_scope(
     sizes = [groups.count(idx) for idx in range(len(scheme.groups))]
     if 0 in sizes:
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
-        return ScopeOutcome(scope, skipped=f"empty group(s) {empty}", group_sizes=sizes)
+        return ScopeOutcome(skipped=f"empty group(s) {empty}", group_sizes=sizes)
 
     # A scope given no token table gets its own: its term sets share one string per distinct token.
     vocab = {} if vocab is None else vocab
@@ -117,7 +119,7 @@ def analyze_scope(
     tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
     results, m, threshold = compute_term_results(tables, sizes, scheme.labels, config.alpha)
     report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)
-    return ScopeOutcome(scope, report, m, threshold, sizes, {r.term: r.direction for r in results if r.significant})
+    return ScopeOutcome(report, sizes, {r.term: r.direction for r in results if r.significant})
 
 
 def analyze_scopes(

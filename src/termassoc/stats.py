@@ -205,9 +205,9 @@ def build_tables(
     two must be the same length. Documents contribute presence, not
     occurrences. A term maps to its count tuple, one k_g per group. Terms
     seen in fewer than min_df documents overall are dropped; the size of the
-    returned map is the Bonferroni divisor m.
-    Raises on an empty corpus or an empty group, both of which make the test
-    degenerate.
+    returned map is the Bonferroni divisor m. The caller owns the group
+    sizes: `pipeline.analyze_scope` counts them and skips a scope with an
+    empty group before any table is built.
 
     Terms are counted level by level over segments: token runs whose every
     (n-1)-gram reached min_df (at level 1, the units). Level n counts each
@@ -218,21 +218,9 @@ def build_tables(
     sub-phrases in the same unit, so an n-gram is never in more documents
     than either of them (the Apriori property).
     """
-    pairs = list(zip(term_sets, groups, strict=True))
-    if not pairs:
-        raise ValueError("empty corpus: nothing to tabulate")
-    group_sizes = [0] * n_groups
-    for pos, (_, g) in enumerate(pairs):
-        if not 0 <= g < n_groups:
-            raise ValueError(f"document at position {pos} assigned to invalid group {g}")
-        group_sizes[g] += 1
-    for idx, size in enumerate(group_sizes):
-        if size == 0:
-            raise ValueError(f"group {idx} is empty; the test is degenerate")
-
     tables: dict[str, tuple[int, ...]] = {}
     # Per document: (group, n_max, segments).
-    level = [(g, ts.n_max, ts.units) for ts, g in pairs]
+    level = [(g, ts.n_max, ts.units) for ts, g in zip(term_sets, groups, strict=True)]
     n = 1
     while level:
         # Pass 1: document frequency of every n-gram present.

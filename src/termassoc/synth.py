@@ -216,9 +216,9 @@ def evaluate_detector(
         outcome = analyze_scope(corpus, "all", config, min_abstract_chars)
         if outcome.skipped:
             raise RuntimeError(f"simulation {sim} produced a degenerate corpus: {outcome.skipped}")
-        m_values.append(outcome.m)
-        if outcome.threshold is not None:
-            thresholds.append(outcome.threshold)
+        m_values.append(outcome.report.m)
+        if outcome.report.threshold is not None:
+            thresholds.append(outcome.report.threshold)
         hits = sum(t in outcome.significant for t in effect_terms)
         recall_per_sim.append(hits / len(effect_terms) if effect_terms else None)
         fp_sims += any(all(tok not in planted_tokens for tok in term.split(" ")) for term in outcome.significant)

@@ -1,10 +1,11 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from termassoc.cleanse import CleaningRule, RuleConfigError, clean_abstract, default_rules, load_rules
+from termassoc.cleanse import CleaningRule, clean_abstract, default_rules, load_rules
 
 FIXTURE_ABSTRACTS = [
     "Background: Little is known about X. Methods: We surveyed 1,200 adults. "
@@ -163,12 +164,31 @@ def test_heading_strip_removes_whole_section():
 
 
 def test_invalid_pattern_fails_at_load_time():
-    with pytest.raises(RuleConfigError):
+    with pytest.raises(ValueError, match=r"^invalid pattern '\(unclosed'"):
         CleaningRule("pattern_delete", r"(unclosed")
-    with pytest.raises(RuleConfigError):
-        CleaningRule("pattern_delete", r"a*")  # can match empty
-    with pytest.raises(RuleConfigError):
-        CleaningRule("delete_all", r"x")  # unknown kind
+    with pytest.raises(ValueError, match=r"^pattern 'a\*' matches the empty string"):
+        CleaningRule("pattern_delete", r"a*")
+    with pytest.raises(ValueError, match="^unknown rule kind 'delete_all'"):
+        CleaningRule("delete_all", r"x")
+
+
+@pytest.mark.parametrize("kind", ["prefix_strip", "pattern_delete"])
+def test_global_flag_loads_where_the_pattern_runs_unwrapped(kind):
+    rule = CleaningRule(kind, r"(?i)copyright")
+    assert clean_abstract("COPYRIGHT body", [rule]) == "body"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 accepts a global flag off the start of a regex")
+@pytest.mark.parametrize("kind", ["suffix_strip", "heading_strip"])
+def test_global_flag_fails_at_load_time_where_the_pattern_is_wrapped(kind):
+    # These kinds wrap the pattern, which moves (?i) off the start of the regex that runs.
+    with pytest.raises(ValueError, match="^invalid pattern"):
+        CleaningRule(kind, r"(?i)copyright")
+
+
+def test_scoped_flag_loads_for_a_wrapping_kind():
+    rule = CleaningRule("suffix_strip", r"(?i:copyright).*")
+    assert clean_abstract("Body text. COPYRIGHT 2020 x", [rule]) == "Body text."
 
 
 def test_load_rules_from_file(tmp_path):
@@ -182,14 +202,14 @@ def test_load_rules_from_file(tmp_path):
 def test_load_rules_rejects_bad_shapes(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text('{"kind": "pattern_delete"}')
-    with pytest.raises(RuleConfigError):
+    with pytest.raises(ValueError, match="^rule file must contain a JSON list"):
         load_rules(path)
     path.write_text('[{"pattern": "x"}]')
-    with pytest.raises(RuleConfigError):
+    with pytest.raises(ValueError, match=r"^rule 1 is missing required key\(s\): \['kind'\]"):
         load_rules(path)
     for entry in ({"kind": "pattern_delete", "pattern": 5},
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": "false"},
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": 0},
                   {"kind": "pattern_delete", "pattern": "zap", "enable": False}):
-        with pytest.raises(RuleConfigError, match="^rule 1 "):
+        with pytest.raises(ValueError, match="^rule 1 "):
             load_rules([entry])

@@ -317,6 +317,19 @@ def test_rule_of_wrong_type_is_an_error(tmp_path, capsys, rule, named):
     assert not out.exists()
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 accepts a global flag off the start of a regex")
+def test_rule_whose_wrapped_pattern_fails_to_compile_is_an_error(tmp_path, capsys):
+    # suffix_strip wraps the pattern, so a leading global flag is not at the start of the regex that runs.
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"kind": "suffix_strip", "pattern": "(?i)copyright.*"}]))
+    out = tmp_path / "out"
+    rc = run_cli("clean", "--in", str(FIXTURES / "metadata.jsonl"), "--rules", str(rules), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: invalid pattern '(?i)copyright.*'") and "Traceback" not in err
+    assert not out.exists()
+
+
 REPORT_ROW = {"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": "alpha", "n": 4,
               "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
               "proportions": {"low": 0.1, "4": 0.5}}

@@ -13,7 +13,6 @@ from termassoc.corpus import (
     Document,
     GroupScheme,
     LinkResult,
-    PipelineOrderError,
     check_json,
     dedup_within_unit,
     default_group_scheme,
@@ -376,6 +375,15 @@ def test_dedup_equal_middles_consume_no_randomness(monkeypatch):
     assert calls == []
 
 
+def test_dedup_keeper_whose_score_is_the_median_is_returned_as_is():
+    docs = [dup("b", 4), dup("a", 4)]
+    assert dedup_within_unit(docs, "unit", seed=1)[0] is docs[1]
+    docs = [dup("b", 2), dup("a", 4)]
+    (kept,) = dedup_within_unit(docs, "unit", seed=1)
+    assert kept.id == "a" and kept.score in (2, 4)
+    assert docs[1].score == 4    # a changed score goes on a copy
+
+
 def test_dedup_score_stays_in_input_multiset():
     rng = random.Random(8)
     for trial in range(100):
@@ -457,7 +465,7 @@ def test_filter_removes_score_zero():
 
 def test_filter_requires_cleaning_first():
     raw_only = Document(id="r", unit="1", score=3, abstract_raw="text")
-    with pytest.raises(PipelineOrderError):
+    with pytest.raises(ValueError, match="^document 'r' has no cleaned abstract; run cleaning before filtering"):
         filter_documents([raw_only], 500)
 
 

@@ -194,7 +194,7 @@ def scope_facts(docs, scope):
     config = AnalysisConfig(n_max=3, min_doc_frequency=2)
     outcome = pipeline.analyze_scope(pipeline.clean_documents(docs, []), scope, config, MIN_ABSTRACT_CHARS)
     reports = [emit_report(outcome.report, fmt) for fmt in ("csv", "jsonl", "text")]
-    return reports, outcome.group_sizes, outcome.m, outcome.threshold
+    return reports, outcome.group_sizes, outcome.report.m, outcome.report.threshold
 
 
 @given(st.lists(st.tuples(st.sampled_from(["", "1", "10", "7", "x"]), st.sampled_from(["", "A", "B"])), max_size=8))
@@ -257,8 +257,9 @@ def run_inputs(draw):
 
 
 def outcome_facts(outcome):
-    reports = outcome.report and [emit_report(outcome.report, fmt) for fmt in FORMATS]
-    return reports, outcome.m, outcome.threshold, outcome.group_sizes, outcome.significant, outcome.skipped
+    report = outcome.report
+    reports = report and [emit_report(report, fmt) for fmt in FORMATS]
+    return reports, report and (report.m, report.threshold), outcome.group_sizes, outcome.significant, outcome.skipped
 
 
 @given(run_inputs())

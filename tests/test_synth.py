@@ -297,4 +297,4 @@ def test_detector_invariant_to_document_shuffling():
     random.Random(99).shuffle(shuffled)
     again = analyze_scope(shuffled, "all", cfg, min_abstract_chars=0)
     assert again.significant == base_sig
-    assert again.m == base.m and again.threshold == base.threshold
+    assert again.report.m == base.report.m and again.report.threshold == base.report.threshold
