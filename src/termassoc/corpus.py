@@ -151,8 +151,8 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append((lineno, f"invalid JSON: {exc.msg}"))
+        except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
+            errors.append((lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         except RecursionError:
             errors.append((lineno, "invalid JSON: nested too deeply"))

@@ -144,11 +144,12 @@ def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
         if not line:
             continue
         try:
-            obj = check_json(json.loads(line), _ReportLine, f"line {lineno}: report row")
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+            raw = json.loads(line)
+        except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
+            raise ValueError(f"line {lineno}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
         except RecursionError:
             raise ValueError(f"line {lineno}: invalid JSON: nested too deeply") from None
+        obj = check_json(raw, _ReportLine, f"line {lineno}: report row")
         shared = {key: obj[key] for key in ("scope", "m", "threshold", "illustrative")}
         shared["group labels"] = list(obj["proportions"])
         if first is None:

@@ -3,7 +3,11 @@
 Every term gets a groups x {present, absent} table of document counts (not
 occurrence counts): the scope's group sizes N_g and the term's counts k_g.
 `build_tables` maps each term to its count tuple, the group sizes stay with
-the caller, and a result keeps the tuple's sum as `n`.
+the caller, and a result keeps the tuple's sum as `n`. It counts words
+directly, and phrases only where a hash-bucket prefilter allows: a bucket
+pass bounds every phrase's document frequency from above, so no phrase that
+reaches min_df is missed, and only the few that share a heavy bucket are
+counted without reaching it.
 The Pearson statistic is compared against a critical value derived from the
 Bonferroni-corrected significance level: with m terms tested at level alpha,
 a term is significant when its statistic reaches the point where the
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .corpus import GroupScheme, default_group_scheme
@@ -27,6 +32,7 @@ from .textproc import N_MAX_LIMIT, DocTermSet
 _MAX_ITER = 500
 _EPS = 1e-16
 _TINY = 1e-300
+_TAILS = [itemgetter(slice(i, None)) for i in range(N_MAX_LIMIT)]   # _TAILS[i](tokens) is tokens[i:]
 
 
 def chi_square(group_sizes: tuple[int, ...], present: tuple[int, ...]) -> float:
@@ -217,23 +223,48 @@ def build_tables(
     min_df. This is exact because a document holding an n-gram holds both
     sub-phrases in the same unit, so an n-gram is never in more documents
     than either of them (the Apriori property).
+
+    At every level n >= 2, pass 1 is a hash-bucket prefilter (the PCY filter
+    of Park, Chen & Yu, 1995). One C-level pass counts every n-gram
+    occurrence of the level into bucket hash(gram) & `_bucket_mask(...)`;
+    that counter is freed, and document frequency is then counted only for
+    the n-grams whose bucket reached min_df. A bucket's count is never below
+    the document frequency of any n-gram in it, so every n-gram that reaches
+    min_df is counted in full and the tables are exact; the hash seed
+    changes only which n-grams below min_df get counted. Most n-grams are in
+    fewer than min_df documents, so this bounds the level's counter by the
+    heavy buckets rather than by every distinct n-gram. Level 1 counts
+    directly: its keys are the run's shared token strings, and a bucket pass
+    there costs more time and memory than it saves.
+
+    Pass 2 counts the kept n-grams per group and cuts the next level's
+    segments. It skips a document whose tokens hold no first token of a kept
+    n-gram, since such a document holds none.
     """
     tables: dict[str, tuple[int, ...]] = {}
     # Per document: (group, n_max, segments).
     level = [(g, ts.n_max, ts.units) for ts, g in zip(term_sets, groups, strict=True)]
     n = 1
     while level:
-        # Pass 1: document frequency of every n-gram present.
-        doc_freq = Counter()
-        for _, _, segments in level:
-            doc_freq.update(set().union(*_grams(segments, n)))
+        # Pass 1: document frequency of every token, or of every n-gram in a heavy bucket.
+        if n == 1:
+            doc_freq = Counter()
+            for _, _, segments in level:
+                doc_freq.update(set().union(*segments))
+        else:
+            doc_freq = _candidate_doc_freq(level, n, min_df)
         kept = {gram for gram, df in doc_freq.items() if df >= min_df}
+        del doc_freq
         if not kept:
             break
-        # Pass 2: per-group counts of the kept n-grams, and the runs to extend.
+        # Pass 2: per-group counts of the kept n-grams, and the runs to extend. A
+        # document whose tokens hold no first token of a kept n-gram holds none.
+        heads = set(map(itemgetter(0), kept)) if n > 1 else kept
         counts = [Counter() for _ in range(n_groups)]
         next_level = []
         for g, n_max, segments in level:
+            if heads.isdisjoint(chain.from_iterable(segments)):
+                continue
             present = kept.intersection(chain.from_iterable(_grams(segments, n)))
             if not present:
                 continue
@@ -250,11 +281,41 @@ def build_tables(
     return tables
 
 
+def _bucket_mask(occurrences: int, min_df: int) -> int:
+    """Hash-bucket mask for a level: the smallest power of two above 2*occurrences/min_df, minus one.
+
+    At most occurrences/min_df buckets can reach min_df, so at most half of
+    the table is heavy and a gram below min_df usually lands in a light bucket.
+    """
+    return (1 << (2 * occurrences // min_df).bit_length()) - 1
+
+
+def _candidate_doc_freq(level: list, n: int, min_df: int) -> Counter:
+    """Document frequency of the level's n-grams whose hash bucket reached min_df.
+
+    One pass counts every n-gram occurrence into its bucket, hash(gram) & mask.
+    A bucket's count is never below the document frequency of any gram in it,
+    so every gram that reaches min_df is counted in full; a light gram that
+    shares a heavy bucket is counted too and dropped by the caller's cut.
+    """
+    occurrences = sum(len(tokens) - n + 1 for _, _, segments in level for tokens in segments)
+    mask = _bucket_mask(occurrences, min_df)
+    grams = chain.from_iterable(chain.from_iterable(_grams(segments, n) for _, _, segments in level))
+    buckets = Counter(map(and_, map(hash, grams), repeat(mask)))
+    heavy = set(compress(buckets, map(min_df.__le__, buckets.values())))
+    del buckets
+    doc_freq = Counter()
+    for _, _, segments in level:
+        grams = list(chain.from_iterable(_grams(segments, n)))
+        doc_freq.update(set(compress(grams, map(heavy.__contains__, map(and_, map(hash, grams), repeat(mask))))))
+    return doc_freq
+
+
 def _grams(segments: list[list[str]], n: int):
     """Each segment's n-grams in order: its tokens at n = 1, else tuples of n tokens."""
     if n == 1:
         return segments
-    return map(zip, *[[tokens[i:] for tokens in segments] for i in range(n)])
+    return map(zip, segments, *map(map, _TAILS[1:n], repeat(segments)))
 
 
 def _kept_runs(segments: list[list[str]], n: int, kept: set) -> list[list[str]]:

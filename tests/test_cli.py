@@ -143,6 +143,22 @@ def test_link_deeply_nested_line_is_one_malformed_record(tiny, tmp_path, capsys,
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
+def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+    # json.loads raises a plain ValueError for an integer past sys.get_int_max_str_digits().
+    scores, metadata = tiny
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(before)) == 0
+    lines = scores.read_text().splitlines(keepends=True)
+    scores.write_text("".join(lines[:2]) + '{"id": "big", "score": ' + "9" * 5000 + "}\n" + "".join(lines[2:]))
+    capsys.readouterr()
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
+    captured = capsys.readouterr()
+    assert f"1 malformed record(s) skipped in {scores}" in captured.err
+    assert f"{scores}:3: invalid JSON: Exceeds the limit" in caplog.text
+    for name in ("merged.jsonl", "link_report.csv"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
+
+
 def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     metadata = tmp_path / "m.jsonl"
@@ -387,6 +403,14 @@ def test_report_line_nested_too_deeply_names_the_line(tmp_path, capsys):
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: nested too deeply")
+
+
+def test_report_line_with_an_overlong_integer_names_the_line(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW) + '{"m": ' + "9" * 5000 + "}\n")
+    rc = run_cli("report", "--in", str(in_path))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: Exceeds the limit")
 
 
 @pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]"], ids=["unclosed", "nested", "trailing-comma"])

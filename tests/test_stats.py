@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import scipy.special
 import scipy.stats
 from hypothesis import assume, given, strategies as st
 
+from termassoc import stats
 from termassoc.stats import (
     AnalysisConfig,
     bonferroni_threshold,
@@ -300,6 +302,24 @@ def test_build_tables_matches_brute_force_oracle(inputs):
     want = build_tables_oracle(term_sets, groups, 3, min_df)
     assert build_tables(term_sets, groups, 3, min_df) == want
     assert build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df) == want
+    # Masks 0, 1 and 3 put every phrase into one, two or four hash buckets, so light
+    # phrases share heavy buckets and only the exact document-frequency cut removes them.
+    for mask in (0, 1, 3):
+        with mock.patch.object(stats, "_bucket_mask", return_value=mask):
+            assert build_tables(term_sets, groups, 3, min_df) == want
+
+
+def test_build_tables_drops_a_light_bigram_in_a_heavy_bucket():
+    # Every token reaches min_df = 3, so every bigram reaches level 2: "a b" is in 3
+    # documents, "c d" and "d c" in 1 each. With one bucket, all three are counted
+    # and the two light ones are cut.
+    term_sets = [DocTermSet(units, 2) for units in
+                 ([["a", "b"]], [["a", "b"]], [["a", "b"]], [["c", "d"]], [["c"], ["d"]], [["d", "c"]])]
+    want = {"a": (2, 1), "b": (2, 1), "c": (1, 2), "d": (1, 2), "a b": (2, 1)}
+    assert build_tables(term_sets, [0, 0, 1, 0, 1, 1], 2, min_df=3) == want
+    with mock.patch.object(stats, "_bucket_mask", return_value=0) as bucket_mask:
+        assert build_tables(term_sets, [0, 0, 1, 0, 1, 1], 2, min_df=3) == want
+    bucket_mask.assert_called_once_with(5, 3)   # 5 bigram occurrences at level 2
 
 
 def test_build_tables_leaves_every_unit_unchanged():
