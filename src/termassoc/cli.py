@@ -146,6 +146,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
         logger.warning("metadata file %s is empty; everything will be unmatched", cfg.metadata)
     link = corpus.link_records(score_records, metadata)
     merged = corpus.merge_linked(score_records, metadata, link)
+    del score_records, metadata   # the writes below reuse their memory; merged holds what it needs
 
     out = Path(cfg.output_dir)
     suspicious = {pair: reason for pair, reason in link.suspicious}
@@ -268,7 +269,7 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
 
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
-    with open(in_path, "r", encoding="utf-8") as fh:
+    with corpus.open_jsonl(in_path) as fh:
         scope_report = parse_jsonl(fh)
     rendered = emit_report(scope_report, fmt)
     if out_path:

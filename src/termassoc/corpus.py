@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,8 @@ class Document:
     Score records carry unit/panel/score/submitter and no abstract; metadata
     records carry abstract/keywords and no score. Merged documents carry both.
     Slots keep a large metadata file small; a Document takes no other attributes.
+    Keywords are an immutable tuple, so every keyword-less document holds the
+    one empty tuple and a merged document holds its metadata record's tuple.
     """
 
     id: str
@@ -79,7 +82,7 @@ class Document:
     journal: str = ""
     abstract_raw: str = ""
     abstract_clean: Optional[str] = None
-    keywords: list[str] = field(default_factory=list)
+    keywords: tuple[str, ...] = ()
     unit: str = ""
     panel: str = ""
     score: Optional[int] = None
@@ -134,7 +137,8 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     """Parse a JSON-lines record stream into Documents.
 
     Malformed records are collected as (line, diagnostic) pairs and parsing
-    continues; nothing is silently dropped. A repeated id is malformed: the
+    continues; nothing is silently dropped. A line that is not UTF-8 (see
+    `open_jsonl`) is malformed too. A repeated id is malformed: the
     later record is reported and skipped. Records missing an abstract parse
     with empty text and are counted, so linkage statistics stay computable.
     Records of one stream share one string per distinct journal, unit,
@@ -146,6 +150,10 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     first_line: dict[str, int] = {}   # id -> line it first appeared on
     share = {}.setdefault   # these field values repeat across records: keep one string each
     for lineno, line in enumerate(stream, start=1):
+        problem = invalid_utf8(line)
+        if problem:
+            errors.append((lineno, problem))
+            continue
         line = line.strip()
         if not line:
             continue
@@ -183,7 +191,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 journal=share(journal, journal),
                 abstract_raw=raw.get("abstract", "") or "",
                 abstract_clean=raw.get("abstract_clean"),
-                keywords=list(map(share, keywords, keywords)),
+                keywords=tuple(map(share, keywords, keywords)),
                 unit=share(unit, unit),
                 panel=share(panel, panel),
                 score=raw.get("score"),
@@ -212,8 +220,28 @@ def _validate_record(raw: dict) -> Optional[str]:
 
 
 def read_jsonl(path) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_jsonl(path) as fh:
         return parse_records(fh)
+
+
+def open_jsonl(path):
+    """Open a JSON-lines file as text in which each byte that is not UTF-8 reads as a lone surrogate.
+
+    One bad byte then spoils only its own line, which `invalid_utf8` finds,
+    and lines end where they do in any text file.
+    """
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")   # the surrogates that errors="surrogateescape" reads bytes as
+
+
+def invalid_utf8(line: str) -> Optional[str]:
+    """The diagnostic for a line from `open_jsonl` that holds a byte that is not UTF-8, else None."""
+    bad = None if line.isascii() else _NOT_UTF8.search(line)
+    if bad is None:
+        return None
+    return f"invalid UTF-8: byte {ord(bad.group()) - 0xDC00:#04x} at column {bad.start() + 1}"
 
 
 def read_json(path, what: str):

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
-from .corpus import check_json
+from .corpus import check_json, invalid_utf8
 from .stats import TermResult
 from .textproc import iter_ngrams
 
@@ -135,11 +135,15 @@ class _ReportLine(ReportRow):
 def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
     """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row).
 
-    Every row must carry the first row's scope fields and group labels.
+    Every row must carry the first row's scope fields and group labels. A
+    line that is not UTF-8 (see `corpus.open_jsonl`) is an error naming it.
     """
     rows = []
     first = None
     for lineno, line in enumerate(lines, start=1):
+        problem = invalid_utf8(line)
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
         line = line.strip()
         if not line:
             continue

@@ -225,15 +225,17 @@ def build_tables(
     than either of them (the Apriori property).
 
     At every level n >= 2, pass 1 is a hash-bucket prefilter (the PCY filter
-    of Park, Chen & Yu, 1995). One C-level pass counts every n-gram
-    occurrence of the level into bucket hash(gram) & `_bucket_mask(...)`;
-    that counter is freed, and document frequency is then counted only for
-    the n-grams whose bucket reached min_df. A bucket's count is never below
-    the document frequency of any n-gram in it, so every n-gram that reaches
-    min_df is counted in full and the tables are exact; the hash seed
-    changes only which n-grams below min_df get counted. Most n-grams are in
-    fewer than min_df documents, so this bounds the level's counter by the
-    heavy buckets rather than by every distinct n-gram. Level 1 counts
+    of Park, Chen & Yu, 1995). One pass counts every n-gram occurrence of
+    the level into bucket hash(gram) & `_bucket_mask(...)`, in a flat table
+    of one count per bucket that stops at min_df (a byte each, or four when
+    min_df is above 255); the table is reduced to one flag per bucket, and
+    document frequency is then counted only for the n-grams whose bucket
+    reached min_df. A bucket's count is never below the document frequency
+    of any n-gram in it, so every n-gram that reaches min_df is counted in
+    full and the tables are exact; the hash seed changes only which n-grams
+    below min_df get counted. Most n-grams are in fewer than min_df
+    documents, so this bounds the level's counter by the heavy buckets
+    rather than by every distinct n-gram. Level 1 counts
     directly: its keys are the run's shared token strings, and a bucket pass
     there costs more time and memory than it saves.
 
@@ -293,21 +295,33 @@ def _bucket_mask(occurrences: int, min_df: int) -> int:
 def _candidate_doc_freq(level: list, n: int, min_df: int) -> Counter:
     """Document frequency of the level's n-grams whose hash bucket reached min_df.
 
-    One pass counts every n-gram occurrence into its bucket, hash(gram) & mask.
-    A bucket's count is never below the document frequency of any gram in it,
-    so every gram that reaches min_df is counted in full; a light gram that
-    shares a heavy bucket is counted too and dropped by the caller's cut.
+    One pass counts every n-gram occurrence into its bucket, hash(gram) & mask,
+    in a flat table of one count per bucket that stops at min_df: a bytearray,
+    or four bytes per count when min_df does not fit in one. A bucket's count is
+    never below the document frequency of any gram in it, so every gram that
+    reaches min_df is counted in full; a light gram that shares a heavy bucket
+    is counted too and dropped by the caller's cut.
     """
     occurrences = sum(len(tokens) - n + 1 for _, _, segments in level for tokens in segments)
     mask = _bucket_mask(occurrences, min_df)
+    # Four bytes per count where min_df does not fit one: a cast view, since the array
+    # module would load a shared library into every process for this rare case.
+    wide = min_df > 255
+    buckets = memoryview(bytearray(4 * (mask + 1))).cast("I") if wide else bytearray(mask + 1)
     grams = chain.from_iterable(chain.from_iterable(_grams(segments, n) for _, _, segments in level))
-    buckets = Counter(map(and_, map(hash, grams), repeat(mask)))
-    heavy = set(compress(buckets, map(min_df.__le__, buckets.values())))
+    for bucket in map(and_, map(hash, grams), repeat(mask)):
+        if buckets[bucket] < min_df:
+            buckets[bucket] += 1
+    # 1 for each bucket that reached min_df; a byte table maps all its counts in one call.
+    if wide:
+        heavy = bytes(map(min_df.__eq__, buckets))
+    else:
+        heavy = buckets.translate(bytes(min_df) + b"\1" * (256 - min_df))
     del buckets
     doc_freq = Counter()
     for _, _, segments in level:
         grams = list(chain.from_iterable(_grams(segments, n)))
-        doc_freq.update(set(compress(grams, map(heavy.__contains__, map(and_, map(hash, grams), repeat(mask))))))
+        doc_freq.update(set(compress(grams, map(heavy.__getitem__, map(and_, map(hash, grams), repeat(mask))))))
     return doc_freq
 
 

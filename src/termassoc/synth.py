@@ -150,7 +150,7 @@ def generate_corpus(spec: SyntheticSpec, scheme: Optional[GroupScheme] = None) -
                 else:
                     sentences.append(list(term.tokens))
             title = " ".join(islice(draws, _TITLE_TOKENS))
-            keywords = list(islice(draws, _KEYWORD_COUNT))
+            keywords = tuple(islice(draws, _KEYWORD_COUNT))
             abstract = ". ".join(map(_capitalize, map(" ".join, filter(None, sentences)))) + "."
             ident = f"syn-{doc_index:05d}"
             docs.append(

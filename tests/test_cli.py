@@ -159,6 +159,22 @@ def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_pa
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
+def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+    # A byte that is not UTF-8 spoils its own line only; the other records still link.
+    scores, metadata = tiny
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(before)) == 0
+    lines = scores.read_bytes().splitlines(keepends=True)
+    bad = b'{"id": "bad", "title": "\xff\xfe", "unit": "3", "score": 1}\n'
+    scores.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[2:]))
+    capsys.readouterr()
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
+    assert f"1 malformed record(s) skipped in {scores}" in capsys.readouterr().err
+    assert f"{scores}:3: invalid UTF-8: byte 0xff at column 25" in caplog.text
+    for name in ("merged.jsonl", "link_report.csv"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
+
+
 def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     metadata = tmp_path / "m.jsonl"
@@ -411,6 +427,14 @@ def test_report_line_with_an_overlong_integer_names_the_line(tmp_path, capsys):
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: Exceeds the limit")
+
+
+def test_report_line_that_is_not_utf8_names_the_line(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_bytes(jsonl(REPORT_ROW).encode() + b'{"scope": "caf\xe9"}\n')
+    rc = run_cli("report", "--in", str(in_path))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 2: invalid UTF-8: byte 0xe9 at column 15\n"
 
 
 @pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]"], ids=["unclosed", "nested", "trailing-comma"])

@@ -41,7 +41,7 @@ def test_parse_round_trip_all_fields():
     (doc,) = parsed.documents
     assert (doc.id, doc.doi, doc.title, doc.journal) == ("r1", "10.1/ab", "T", "J")
     assert doc.abstract_raw == "Some text."
-    assert doc.keywords == ["k1", "k2"]
+    assert doc.keywords == ("k1", "k2")
     assert (doc.unit, doc.panel, doc.score, doc.submitter) == ("3", "A", 4, "uni-x")
 
 
@@ -52,8 +52,16 @@ def test_parse_shares_repeated_field_strings():
     for name in ("journal", "unit", "submitter"):
         assert getattr(first, name) == getattr(second, name) == recs[0][name]
         assert getattr(first, name) is getattr(second, name)
-    assert (first.keywords, second.keywords) == (recs[0]["keywords"], recs[1]["keywords"])
+    assert (first.keywords, second.keywords) == (tuple(recs[0]["keywords"]), tuple(recs[1]["keywords"]))
     assert first.keywords[0] is second.keywords[0]
+
+
+def test_parse_keywordless_records_share_one_empty_tuple():
+    # Score records have no keywords: each must not hold a list of its own.
+    recs = [{"id": "r1"}, {"id": "r2", "keywords": []}, {"id": "r3", "keywords": None}]
+    docs = parse_records(lines(*recs)).documents
+    assert [d.keywords for d in docs] == [(), (), ()]
+    assert all(d.keywords is Document(id="x").keywords for d in docs)
 
 
 def test_parse_missing_abstract_warns_and_defaults_empty():
@@ -199,6 +207,14 @@ def test_merge_linked_combines_fields():
     (doc,) = merge_linked(records, metadata, link)
     assert doc.id == "r1" and doc.score == 4 and doc.unit == "5"
     assert doc.abstract_raw == "Real abstract." and doc.title == "Title"
+
+
+def test_merged_document_holds_its_metadata_records_keywords():
+    (record,) = parse_records(lines({"id": "r1", "doi": "10.1/a", "score": 4, "unit": "5"})).documents
+    (metadata,) = parse_records(lines({"id": "m1", "doi": "10.1/a", "keywords": ["k one", "k two"]})).documents
+    (doc,) = merge_linked([record], [metadata], link_records([record], [metadata]))
+    assert doc.keywords == ("k one", "k two")
+    assert doc.keywords is metadata.keywords
 
 
 def test_link_records_linear_in_title_journal_matches():

@@ -296,17 +296,39 @@ def tabulation_inputs(draw):
     return term_sets, groups, min_df, draw(st.permutations(list(zip(term_sets, groups))))
 
 
-@given(tabulation_inputs())
-def test_build_tables_matches_brute_force_oracle(inputs):
-    term_sets, groups, min_df, shuffled = inputs
+def assert_tables_match_oracle(term_sets, groups, min_df):
+    """build_tables gives the oracle's tables, also with every phrase in one, two or four buckets; returns them."""
     want = build_tables_oracle(term_sets, groups, 3, min_df)
     assert build_tables(term_sets, groups, 3, min_df) == want
-    assert build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df) == want
     # Masks 0, 1 and 3 put every phrase into one, two or four hash buckets, so light
     # phrases share heavy buckets and only the exact document-frequency cut removes them.
     for mask in (0, 1, 3):
         with mock.patch.object(stats, "_bucket_mask", return_value=mask):
             assert build_tables(term_sets, groups, 3, min_df) == want
+    return want
+
+
+@given(tabulation_inputs())
+def test_build_tables_matches_brute_force_oracle(inputs):
+    term_sets, groups, min_df, shuffled = inputs
+    want = assert_tables_match_oracle(term_sets, groups, min_df)
+    assert build_tables([ts for ts, _ in shuffled], [g for _, g in shuffled], 3, min_df) == want
+
+
+def test_build_tables_matches_brute_force_oracle_above_255():
+    # A min_df above 255 does not fit the one-byte bucket counts. Among 600 documents over
+    # a two-token vocabulary, words, bigrams and trigrams reach such floors, and some
+    # floors are exactly the document frequency of a gram.
+    rng = random.Random(4)
+    units = ([[rng.choice("ab") for _ in range(rng.randint(1, 12))] for _ in range(rng.randint(0, 4))]
+             for _ in range(600))
+    term_sets = [DocTermSet(doc_units, 8) for doc_units in units]
+    groups = [i % 3 for i in range(600)]
+    dfs = sorted({sum(row) for row in build_tables_oracle(term_sets, groups, 3, 256).values()})
+    lengths = set()
+    for min_df in (256, dfs[0], dfs[len(dfs) // 2], dfs[-1], dfs[-1] + 1):
+        lengths.update(term.count(" ") + 1 for term in assert_tables_match_oracle(term_sets, groups, min_df))
+    assert lengths == {1, 2, 3}
 
 
 def test_build_tables_drops_a_light_bigram_in_a_heavy_bucket():
@@ -320,6 +342,20 @@ def test_build_tables_drops_a_light_bigram_in_a_heavy_bucket():
     with mock.patch.object(stats, "_bucket_mask", return_value=0) as bucket_mask:
         assert build_tables(term_sets, [0, 0, 1, 0, 1, 1], 2, min_df=3) == want
     bucket_mask.assert_called_once_with(5, 3)   # 5 bigram occurrences at level 2
+
+
+def test_build_tables_bucket_counts_pass_255():
+    # With one bucket, level 2 puts 300 bigram occurrences into it, more than a byte
+    # holds: "a b" 151 times in 2 documents, "b a" 149 times in 1.
+    term_sets = [DocTermSet([["a", "b"] * 150], 2), DocTermSet([["a", "b"]], 2)]
+    with mock.patch.object(stats, "_bucket_mask", return_value=0):
+        assert build_tables(term_sets, [0, 1], 2, min_df=2) == {"a": (1, 1), "b": (1, 1), "a b": (1, 1)}
+    # A min_df of 300 does not fit a byte either: "a b" in 300 documents must reach it.
+    term_sets = [DocTermSet([["a", "b"]], 2) for _ in range(300)]
+    for mask in (0, 1):
+        with mock.patch.object(stats, "_bucket_mask", return_value=mask):
+            tables = build_tables(term_sets, [i % 2 for i in range(300)], 2, min_df=300)
+        assert tables == {"a": (150, 150), "b": (150, 150), "a b": (150, 150)}
 
 
 def test_build_tables_leaves_every_unit_unchanged():

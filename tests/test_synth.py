@@ -89,7 +89,7 @@ def reference_generate_corpus(spec):
                 else:
                     sentences.append(list(term.tokens))
             title = " ".join(rng.choice(vocab) for _ in range(3))
-            keywords = [rng.choice(vocab) for _ in range(2)]
+            keywords = tuple(rng.choice(vocab) for _ in range(2))
             abstract = ". ".join(capitalize(" ".join(s)) for s in sentences if s) + "."
             ident = f"syn-{doc_index:05d}"
             docs.append(Document(id=ident, doi=f"10.9999/{ident}", title=capitalize(title),
