@@ -17,11 +17,10 @@ apply time, and may not match the empty string (cleaning must not grow text).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from importlib import resources
+from pathlib import Path
 
 from .corpus import check_json, read_json
 
@@ -85,17 +84,14 @@ def clean_abstract(text: str, rules: list[CleaningRule]) -> str:
     return text if cleaned == text else cleaned
 
 
-def load_rules(source) -> list[CleaningRule]:
-    """Load rules from a JSON file path or an already-parsed list of dicts.
+def load_rules(path) -> list[CleaningRule]:
+    """Load rules from a JSON file holding a list of rule objects.
 
     Each entry is an object {"kind": str, "pattern": str, "enabled": bool};
     enabled defaults to true. A malformed or invalid entry raises
     ValueError naming it.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        entries = read_json(source, "rule file")
-    else:
-        entries = source
+    entries = read_json(path, "rule file")
     if not isinstance(entries, list):
         raise ValueError("rule file must contain a JSON list of rule objects")
     return [CleaningRule(**check_json(entry, CleaningRule, f"rule {i}"))
@@ -104,5 +100,4 @@ def load_rules(source) -> list[CleaningRule]:
 
 def default_rules() -> list[CleaningRule]:
     """The bundled rule set: copyright tails, license statements, heading labels."""
-    data = resources.files(__package__).joinpath("data/default_rules.json").read_text("utf-8")
-    return load_rules(json.loads(data))
+    return load_rules(Path(__file__).parent / "data" / "default_rules.json")

@@ -269,7 +269,7 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
 
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
-    with corpus.open_jsonl(in_path) as fh:
+    with corpus.open_json(in_path) as fh:
         scope_report = parse_jsonl(fh)
     rendered = emit_report(scope_report, fmt)
     if out_path:

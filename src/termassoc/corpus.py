@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 # The builtin module spares every process the OpenSSL that hashlib loads
 # (about 3.5 MB resident) for a few short digests; Python 3.12 moved it.
@@ -137,38 +137,19 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     """Parse a JSON-lines record stream into Documents.
 
     Malformed records are collected as (line, diagnostic) pairs and parsing
-    continues; nothing is silently dropped. A line that is not UTF-8 (see
-    `open_jsonl`) is malformed too. A repeated id is malformed: the
-    later record is reported and skipped. Records missing an abstract parse
-    with empty text and are counted, so linkage statistics stay computable.
-    Records of one stream share one string per distinct journal, unit,
-    panel, submitter or keyword.
+    continues; nothing is silently dropped. A line that `decode_json` rejects
+    is malformed, and so is a repeated id: the later record is reported and
+    skipped. Records missing an abstract parse with empty text and are
+    counted, so linkage statistics stay computable. Records of one stream
+    share one string per distinct journal, unit, panel, submitter or keyword.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
     missing_abstracts = 0
     first_line: dict[str, int] = {}   # id -> line it first appeared on
     share = {}.setdefault   # these field values repeat across records: keep one string each
-    for lineno, line in enumerate(stream, start=1):
-        problem = invalid_utf8(line)
-        if problem:
-            errors.append((lineno, problem))
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
-            errors.append((lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
-            continue
-        except RecursionError:
-            errors.append((lineno, "invalid JSON: nested too deeply"))
-            continue
-        if not isinstance(raw, dict):
-            errors.append((lineno, "record is not a JSON object"))
-            continue
-        problem = _validate_record(raw)
+    for lineno, raw, problem in iter_json_lines(stream):
+        problem = problem or _validate_record(raw)
         if problem:
             errors.append((lineno, problem))
             continue
@@ -201,7 +182,9 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     return ParseResult(documents, errors, missing_abstracts)
 
 
-def _validate_record(raw: dict) -> Optional[str]:
+def _validate_record(raw) -> Optional[str]:
+    if not isinstance(raw, dict):
+        return "record is not a JSON object"
     if "id" not in raw or raw["id"] in (None, ""):
         return "missing required field 'id'"
     for key in _STR_FIELDS:
@@ -220,39 +203,71 @@ def _validate_record(raw: dict) -> Optional[str]:
 
 
 def read_jsonl(path) -> ParseResult:
-    with open_jsonl(path) as fh:
+    with open_json(path) as fh:
         return parse_records(fh)
 
 
-def open_jsonl(path):
-    """Open a JSON-lines file as text in which each byte that is not UTF-8 reads as a lone surrogate.
+def open_json(path):
+    """Open a JSON or JSON-lines file as text in which each byte that is not UTF-8 reads as a lone surrogate.
 
-    One bad byte then spoils only its own line, which `invalid_utf8` finds,
-    and lines end where they do in any text file.
+    `decode_json` names such a byte, so one spoils only its own JSON-lines
+    line, and lines end where they do in any text file.
     """
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")   # the surrogates that errors="surrogateescape" reads bytes as
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def invalid_utf8(line: str) -> Optional[str]:
-    """The diagnostic for a line from `open_jsonl` that holds a byte that is not UTF-8, else None."""
-    bad = None if line.isascii() else _NOT_UTF8.search(line)
+def _invalid_utf8(text: str) -> Optional[str]:
+    """The diagnostic for text from `open_json` that holds a byte that is not UTF-8, else None."""
+    bad = None if text.isascii() else _NOT_UTF8.search(text)
     if bad is None:
         return None
-    return f"invalid UTF-8: byte {ord(bad.group()) - 0xDC00:#04x} at column {bad.start() + 1}"
+    pos = bad.start()
+    line, column = text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
+    where = f"line {line + 1} column {column}" if line else f"column {column}"   # a whole file has lines
+    return f"invalid UTF-8: byte {ord(bad.group()) - 0xDC00:#04x} at {where}"
+
+
+def decode_json(text: str) -> tuple[object, Optional[str]]:
+    """Decode one JSON text as (value, None), or as (None, diagnostic) when it is malformed.
+
+    Malformed means a byte that is not UTF-8 (see `open_json`), text that
+    `json.loads` rejects, or an escape such as \\ud800 that leaves a lone
+    surrogate, which I-JSON (RFC 7493) forbids and no UTF-8 file can hold.
+    """
+    problem = _invalid_utf8(text)
+    if problem:
+        return None, problem
+    try:
+        value = json.loads(text)
+        # Only an escape can leave a lone surrogate; dumps writes it back as itself.
+        bad = "\\u" in text and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
+    except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
+        return None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
+    except RecursionError:
+        return None, "invalid JSON: nested too deeply"
+    if bad:
+        return None, f"invalid JSON: unpaired surrogate escape \\u{ord(bad.group()):04x}"
+    return value, None
+
+
+def iter_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object, Optional[str]]]:
+    """(1-based line number, value, diagnostic) for each non-blank line, decoded by `decode_json`."""
+    for lineno, line in enumerate(lines, start=1):
+        if line and not line.isspace():
+            yield (lineno, *decode_json(line))
 
 
 def read_json(path, what: str):
-    """Parse one whole JSON file; text that does not parse is a ValueError naming what and path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
-            raise ValueError(f"{what} {path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{what} {path}: invalid JSON: nested too deeply") from None
+    """Decode one whole JSON file; malformed text is a ValueError naming what and path."""
+    with open_json(path) as fh:
+        value, problem = decode_json(fh.read())
+    if problem:
+        raise ValueError(f"{what} {path}: {problem}")
+    return value
 
 
 def write_atomic(path, chunks: Iterable[str]):

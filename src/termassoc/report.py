@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
-from .corpus import check_json, invalid_utf8
+from .corpus import check_json, iter_json_lines
 from .stats import TermResult
 from .textproc import iter_ngrams
 
@@ -136,23 +136,13 @@ def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
     """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row).
 
     Every row must carry the first row's scope fields and group labels. A
-    line that is not UTF-8 (see `corpus.open_jsonl`) is an error naming it.
+    line that `corpus.decode_json` rejects is an error naming it.
     """
     rows = []
     first = None
-    for lineno, line in enumerate(lines, start=1):
-        problem = invalid_utf8(line)
+    for lineno, raw, problem in iter_json_lines(lines):
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
-            raise ValueError(f"line {lineno}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
-        except RecursionError:
-            raise ValueError(f"line {lineno}: invalid JSON: nested too deeply") from None
         obj = check_json(raw, _ReportLine, f"line {lineno}: report row")
         shared = {key: obj[key] for key in ("scope", "m", "threshold", "illustrative")}
         shared["group labels"] = list(obj["proportions"])

@@ -227,10 +227,10 @@ def build_tables(
     At every level n >= 2, pass 1 is a hash-bucket prefilter (the PCY filter
     of Park, Chen & Yu, 1995). One pass counts every n-gram occurrence of
     the level into bucket hash(gram) & `_bucket_mask(...)`, in a flat table
-    of one count per bucket that stops at min_df (a byte each, or four when
-    min_df is above 255); the table is reduced to one flag per bucket, and
-    document frequency is then counted only for the n-grams whose bucket
-    reached min_df. A bucket's count is never below the document frequency
+    of one byte per bucket whose count stops at min_df (at 255 when min_df is
+    higher); the table is reduced to one flag per bucket, and document
+    frequency is then counted only for the n-grams whose bucket reached that
+    stop. A bucket's count is never below the document frequency
     of any n-gram in it, so every n-gram that reaches min_df is counted in
     full and the tables are exact; the hash seed changes only which n-grams
     below min_df get counted. Most n-grams are in fewer than min_df
@@ -293,30 +293,25 @@ def _bucket_mask(occurrences: int, min_df: int) -> int:
 
 
 def _candidate_doc_freq(level: list, n: int, min_df: int) -> Counter:
-    """Document frequency of the level's n-grams whose hash bucket reached min_df.
+    """Document frequency of the level's n-grams whose hash bucket reached min(min_df, 255).
 
     One pass counts every n-gram occurrence into its bucket, hash(gram) & mask,
-    in a flat table of one count per bucket that stops at min_df: a bytearray,
-    or four bytes per count when min_df does not fit in one. A bucket's count is
-    never below the document frequency of any gram in it, so every gram that
-    reaches min_df is counted in full; a light gram that shares a heavy bucket
-    is counted too and dropped by the caller's cut.
+    in a bytearray of one count per bucket that stops at min(min_df, 255). A
+    bucket's count is never below the document frequency of any gram in it, so
+    every gram that reaches min_df is counted in full; a light gram that shares
+    a heavy bucket is counted too and dropped by the caller's cut.
     """
     occurrences = sum(len(tokens) - n + 1 for _, _, segments in level for tokens in segments)
-    mask = _bucket_mask(occurrences, min_df)
-    # Four bytes per count where min_df does not fit one: a cast view, since the array
-    # module would load a shared library into every process for this rare case.
-    wide = min_df > 255
-    buckets = memoryview(bytearray(4 * (mask + 1))).cast("I") if wide else bytearray(mask + 1)
+    # A count stops where a byte does: a bucket holding a gram that reaches min_df reaches cap.
+    cap = min(min_df, 255)
+    mask = _bucket_mask(occurrences, cap)
+    buckets = bytearray(mask + 1)
     grams = chain.from_iterable(chain.from_iterable(_grams(segments, n) for _, _, segments in level))
     for bucket in map(and_, map(hash, grams), repeat(mask)):
-        if buckets[bucket] < min_df:
+        if buckets[bucket] < cap:
             buckets[bucket] += 1
-    # 1 for each bucket that reached min_df; a byte table maps all its counts in one call.
-    if wide:
-        heavy = bytes(map(min_df.__eq__, buckets))
-    else:
-        heavy = buckets.translate(bytes(min_df) + b"\1" * (256 - min_df))
+    # 1 for each bucket that reached cap; a byte table maps all its counts in one call.
+    heavy = buckets.translate(bytes(cap) + b"\1" * (256 - cap))
     del buckets
     doc_freq = Counter()
     for _, _, segments in level:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -211,5 +212,6 @@ def test_load_rules_rejects_bad_shapes(tmp_path):
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": "false"},
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": 0},
                   {"kind": "pattern_delete", "pattern": "zap", "enable": False}):
+        path.write_text(json.dumps([entry]))
         with pytest.raises(ValueError, match="^rule 1 "):
-            load_rules([entry])
+            load_rules(path)

@@ -175,6 +175,44 @@ def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, caps
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
+@pytest.mark.parametrize("target", ["scores", "metadata", "corpus"])
+def test_unpaired_surrogate_escape_is_one_malformed_record(tiny, tmp_path, capsys, caplog, target):
+    # json.loads reads \ud800 as a lone surrogate, which no UTF-8 output file can hold.
+    scores, metadata = tiny
+    corpus_path = tmp_path / "linked" / "merged.jsonl"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(corpus_path.parent)) == 0
+    path = {"scores": scores, "metadata": metadata, "corpus": corpus_path}[target]
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])   # r2 or m2, linked by DOI
+    record["submitter" if target == "scores" else "abstract"] = "A \ud800 b"
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if target == "corpus":
+        argv, written = ["dedup", "--in", str(path)], out / "deduped.jsonl"
+    else:
+        argv, written = ["link", "--scores", str(scores), "--metadata", str(metadata)], out / "merged.jsonl"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert f"1 malformed record(s) skipped in {path}" in capsys.readouterr().err
+    assert f"{path}:2: invalid JSON: unpaired surrogate escape \\ud800" in caplog.text
+    assert [json.loads(line)["id"] for line in written.read_text().splitlines()] == ["r1", "r3"]
+
+
+def test_paired_surrogate_escape_round_trips_through_merged_jsonl(tiny, tmp_path):
+    scores, metadata = tiny
+    lines = metadata.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "title": "Alpha \U0001F600"}) + "\n"
+    assert "\\ud83d\\ude00" in lines[0]
+    metadata.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    assert "Alpha \U0001F600".encode() in (out / "merged.jsonl").read_bytes()
+    parsed = corpus.read_jsonl(out / "merged.jsonl")
+    assert parsed.errors == []
+    assert parsed.documents[0].title == "Alpha \U0001F600"
+
+
 def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     metadata = tmp_path / "m.jsonl"
@@ -437,7 +475,18 @@ def test_report_line_that_is_not_utf8_names_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: invalid UTF-8: byte 0xe9 at column 15\n"
 
 
-@pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]"], ids=["unclosed", "nested", "trailing-comma"])
+def test_report_line_with_an_unpaired_surrogate_escape_names_the_line(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text(jsonl(REPORT_ROW, {**REPORT_ROW, "term": "beta \ud800"}))
+    out_file = tmp_path / "out" / "report.csv"
+    rc = run_cli("report", "--in", str(in_path), "--format", "csv", "--out-file", str(out_file))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 2: invalid JSON: unpaired surrogate escape \\ud800\n"
+    assert not out_file.parent.exists()
+
+
+@pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]", '["\\ud800"]'],
+                         ids=["unclosed", "nested", "trailing-comma", "unpaired-surrogate"])
 @pytest.mark.parametrize("flag, what", [("--config", "config"), ("--rules", "rule file"),
                                         ("--spec", "synthetic spec")], ids=["config", "rules", "spec"])
 def test_json_file_that_does_not_parse_is_named(tmp_path, capsys, flag, what, text):

@@ -95,6 +95,19 @@ def test_parse_malformed_records_reported_with_line_numbers():
     assert parsed.documents[0].abstract_raw == ""
 
 
+@pytest.mark.parametrize("text, value, problem", [
+    (r'"\ud83d\ude00"', "\U0001F600", None),
+    (r'"\\ud800"', r"\ud800", None),   # an escaped backslash, then plain text
+    (r'["a", {"b": "\ud800"}]', None, r"invalid JSON: unpaired surrogate escape \ud800"),
+    (r'{"\udfff": 1}', None, r"invalid JSON: unpaired surrogate escape \udfff"),
+    (r'"\ude00\ud83d"', None, r"invalid JSON: unpaired surrogate escape \ude00"),
+    ('{\n"a": "\udcff"}', None, "invalid UTF-8: byte 0xff at line 2 column 7"),
+    ("\x0c{}", None, "invalid JSON: Expecting value"),   # only JSON whitespace pads a value
+], ids=["pair", "escaped-backslash", "nested", "key", "reversed-pair", "not-utf8-in-a-file", "form-feed"])
+def test_decode_json_values_and_diagnostics(text, value, problem):
+    assert corpus.decode_json(text) == (value, problem)
+
+
 def test_parse_doi_normalized():
     parsed = parse_records(lines({"id": "r", "doi": " 10.1000/ABC ", "abstract": ""}))
     assert parsed.documents[0].doi == "10.1000/abc"

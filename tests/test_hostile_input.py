@@ -52,12 +52,16 @@ INPUTS = {"scores": ("scores.jsonl", SCORES), "metadata": ("metadata.jsonl", MET
           "rules": ("rules.json", RULES), "config": ("config.json", CONFIG),
           "spec": ("spec.json", SPEC), "report": ("report.jsonl", REPORT)}
 
+# Strings draw from every code point, lone surrogates (category Cs) often:
+# json.dumps writes one as an escape such as \ud800, which every input must reject.
+texts = st.text(st.characters(exclude_categories=()) | st.characters(categories=("Cs",)), max_size=6)
+
 # Integers stay small: a well-typed but huge size (say, a billion documents)
 # is a legitimate request that takes that long, not malformed input.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    | texts,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4),
     max_leaves=8,
 )
 
@@ -65,8 +69,8 @@ json_values = st.recursive(
 def _same_kind(node):
     """Values of the node's own JSON type, to reach the checks behind the type check."""
     for kind, strategy in ((bool, st.booleans()), (int, st.integers(-3, 40)), (float, st.floats(-1, 2)),
-                           (str, st.text(max_size=6)), (list, st.lists(json_values, max_size=4)),
-                           (dict, st.dictionaries(st.text(max_size=6), json_values, max_size=4))):
+                           (str, texts), (list, st.lists(json_values, max_size=4)),
+                           (dict, st.dictionaries(texts, json_values, max_size=4))):
         if isinstance(node, kind):
             return strategy
     return st.none()
