@@ -89,13 +89,20 @@ def load_rules(path) -> list[CleaningRule]:
 
     Each entry is an object {"kind": str, "pattern": str, "enabled": bool};
     enabled defaults to true. A malformed or invalid entry raises
-    ValueError naming it.
+    ValueError naming the file and the entry.
     """
     entries = read_json(path, "rule file")
     if not isinstance(entries, list):
-        raise ValueError("rule file must contain a JSON list of rule objects")
-    return [CleaningRule(**check_json(entry, CleaningRule, f"rule {i}"))
-            for i, entry in enumerate(entries, start=1)]
+        raise ValueError(f"rule file {path} must contain a JSON list of rule objects")
+    rules = []
+    for i, entry in enumerate(entries, start=1):
+        what = f"rule file {path}: rule {i}"
+        fields = check_json(entry, CleaningRule, what)
+        try:
+            rules.append(CleaningRule(**fields))
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
+    return rules
 
 
 def default_rules() -> list[CleaningRule]:

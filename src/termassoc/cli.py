@@ -57,6 +57,9 @@ class PipelineConfig:
         seed_given = getattr(args, "seed", None) is not None
         if path:
             raw = corpus.check_json(corpus.read_json(path, "config"), cls, f"config {path}")
+            for key in ("scores", "metadata", "rules", "output_dir"):
+                if "\0" in (raw.get(key) or ""):
+                    raise ValueError(f"config {path} key {key!r}: a path cannot hold a NUL character")
             cfg = dataclasses.replace(cfg, **raw)
             seed_given = seed_given or "seed" in raw
         flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
@@ -232,19 +235,25 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
 
 def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse.CleaningRule], spec_path: str,
               sims: int, corpus_out: Optional[str]) -> synth.DetectorMetrics:
+    if sims < 1:
+        raise ValueError(f"--sims must be >= 1, got {sims}")
+    what = f"synthetic spec {spec_path}"
     try:
-        spec = synth.SyntheticSpec.from_config(corpus.read_json(spec_path, "synthetic spec"))
+        spec = synth.SyntheticSpec.from_config(corpus.read_json(spec_path, "synthetic spec"), what)
     except OSError as exc:
         raise FileNotFoundError(f"cannot read synthetic spec {spec_path!r}: {exc}") from exc
     if cfg.seed_given:
         spec = dataclasses.replace(spec, seed=cfg.seed)
-    if corpus_out:
-        corpus_dir = Path(corpus_out)
-        docs = synth.generate_corpus(spec, analysis.group_scheme)
-        write_corpus_files(docs, corpus_dir)
-        print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
-
-    metrics = synth.evaluate_detector(spec, analysis, sims, rules)
+    # What fails from here on is the spec: its groups against the config's, or a simulation's corpus.
+    try:
+        if corpus_out:
+            corpus_dir = Path(corpus_out)
+            docs = synth.generate_corpus(spec, analysis.group_scheme)
+            write_corpus_files(docs, corpus_dir)
+            print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
+        metrics = synth.evaluate_detector(spec, analysis, sims, rules)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
     _write_json(Path(cfg.output_dir) / "metrics.json", dataclasses.asdict(metrics))
     recall = "n/a" if metrics.recall is None else f"{metrics.recall:.3f}"
     print(f"synth: {sims} sims, recall={recall}, fwer={metrics.fwer:.3f}")
@@ -270,7 +279,10 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
     with corpus.open_json(in_path) as fh:
-        scope_report = parse_jsonl(fh)
+        try:
+            scope_report = parse_jsonl(fh)
+        except ValueError as exc:
+            raise ValueError(f"report {in_path}: {exc}") from None
     rendered = emit_report(scope_report, fmt)
     if out_path:
         corpus.write_atomic(out_path, [rendered])

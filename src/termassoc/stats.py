@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import and_, itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import GroupScheme, default_group_scheme
 from .textproc import N_MAX_LIMIT, DocTermSet
@@ -216,7 +216,9 @@ def build_tables(
     empty group before any table is built.
 
     Terms are counted level by level over segments: token runs whose every
-    (n-1)-gram reached min_df (at level 1, the units). Level n counts each
+    (n-1)-gram reached min_df (at level 1, the units). Units are tuples, and a
+    run is a slice of one, so every segment is an exact-size tuple that
+    counting never changes. Level n counts each
     segment's n-grams; a segment goes on to level n+1 cut into its maximal
     runs of kept n-grams, keeping the runs that hold an (n+1)-gram. So an
     n-gram is counted only where both of its (n-1)-gram sub-phrases reached
@@ -320,15 +322,15 @@ def _candidate_doc_freq(level: list, n: int, min_df: int) -> Counter:
     return doc_freq
 
 
-def _grams(segments: list[list[str]], n: int):
+def _grams(segments: Sequence[tuple[str, ...]], n: int):
     """Each segment's n-grams in order: its tokens at n = 1, else tuples of n tokens."""
     if n == 1:
         return segments
     return map(zip, segments, *map(map, _TAILS[1:n], repeat(segments)))
 
 
-def _kept_runs(segments: list[list[str]], n: int, kept: set) -> list[list[str]]:
-    """The maximal runs of kept n-grams in the segments, as tokens, that hold an (n+1)-gram."""
+def _kept_runs(segments: Sequence[tuple[str, ...]], n: int, kept: set) -> list[tuple[str, ...]]:
+    """The maximal runs of kept n-grams in the segments, as token tuples, that hold an (n+1)-gram."""
     runs = []
     for tokens, grams in zip(segments, _grams(segments, n)):
         if len(tokens) <= n:

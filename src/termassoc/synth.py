@@ -86,12 +86,15 @@ class SyntheticSpec:
                 raise ValueError(f"term {term.rendered!r} does not survive tokenization")
 
     @classmethod
-    def from_config(cls, obj) -> "SyntheticSpec":
-        """Build a spec from its JSON object, the shape dataclasses.asdict gives."""
-        check_json(obj, cls, "synthetic spec")
-        planted = [PlantedTerm(**check_json(term, PlantedTerm, f"synthetic spec planted term {i}"))
+    def from_config(cls, obj, what: str = "synthetic spec") -> "SyntheticSpec":
+        """Build a spec from its JSON object, the shape dataclasses.asdict gives; errors start with what."""
+        check_json(obj, cls, what)
+        planted = [PlantedTerm(**check_json(term, PlantedTerm, f"{what} planted term {i}"))
                    for i, term in enumerate(obj.get("planted", []), start=1)]
-        return cls(**{**obj, "planted": planted})
+        try:
+            return cls(**{**obj, "planted": planted})
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
 
 
 def background_vocabulary(size: int) -> list[str]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .corpus import Document
 
@@ -43,7 +43,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 _CANDIDATE_RE = re.compile(r"[.!?]\s+")
 
 # Token units keyed by the text they came from: (title, cleaned abstract, *keywords).
-UnitMemo = dict[tuple[str, ...], list[list[str]]]
+UnitMemo = dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -95,11 +95,11 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
     return sentences
 
 
-@dataclass
+@dataclass(slots=True)
 class DocTermSet:
-    """A document's non-empty token units: title, abstract sentences, keywords."""
+    """A document's non-empty token units: title, abstract sentences, keywords, each an exact-size tuple."""
 
-    units: list[list[str]]
+    units: tuple[tuple[str, ...], ...]
     n_max: int
 
     @property
@@ -111,7 +111,7 @@ class DocTermSet:
         return terms
 
 
-def iter_ngrams(tokens: list[str], n_max: int) -> Iterator[str]:
+def iter_ngrams(tokens: Sequence[str], n_max: int) -> Iterator[str]:
     """All contiguous n-grams of length 1..n_max, one per position and length."""
     count = len(tokens)
     for start in range(count):
@@ -136,7 +136,7 @@ def extract_terms(
     a new one is added. None stands for a fresh dict in either place, so a
     call given no memo tokenizes its text. Units depend on nothing else, so
     documents that share an id but not their text never share units.
-    Callers must not change the units lists, which the memo hands out again.
+    Units are tuples, so the ones the memo hands out again cannot change.
     """
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
@@ -148,6 +148,7 @@ def extract_terms(
     if units is None:
         share = ({} if vocab is None else vocab).setdefault
         texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-        # tokenize(text) for each text, without a Python frame per unit.
-        units = memo[key] = [list(map(share, t, t)) for t in map(_TOKEN_RE.findall, map(str.lower, texts)) if t]
+        # tokenize(text) for each text, without a Python frame per unit; tuples are exact-size.
+        tokenized = map(_TOKEN_RE.findall, map(str.lower, texts))
+        units = memo[key] = tuple([tuple(map(share, t, t)) for t in tokenized if t])
     return DocTermSet(units, n_max)

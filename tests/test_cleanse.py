@@ -203,15 +203,15 @@ def test_load_rules_from_file(tmp_path):
 def test_load_rules_rejects_bad_shapes(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text('{"kind": "pattern_delete"}')
-    with pytest.raises(ValueError, match="^rule file must contain a JSON list"):
+    with pytest.raises(ValueError, match=f"^rule file {path} must contain a JSON list"):
         load_rules(path)
     path.write_text('[{"pattern": "x"}]')
-    with pytest.raises(ValueError, match=r"^rule 1 is missing required key\(s\): \['kind'\]"):
+    with pytest.raises(ValueError, match=re.escape(f"rule file {path}: rule 1 is missing required key(s): ['kind']")):
         load_rules(path)
     for entry in ({"kind": "pattern_delete", "pattern": 5},
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": "false"},
                   {"kind": "pattern_delete", "pattern": "zap", "enabled": 0},
                   {"kind": "pattern_delete", "pattern": "zap", "enable": False}):
         path.write_text(json.dumps([entry]))
-        with pytest.raises(ValueError, match="^rule 1 "):
+        with pytest.raises(ValueError, match="^" + re.escape(f"rule file {path}: rule 1 ")):
             load_rules(path)

@@ -334,7 +334,7 @@ def test_report_row_without_scope_is_an_error(tmp_path, capsys):
     rc = run_cli("report", "--in", str(in_path))
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: line 2: ") and "'scope'" in err
+    assert err.startswith(f"error: report {in_path}: line 2: ") and "'scope'" in err
 
 
 def test_synth_spec_missing_required_key_is_an_error(tmp_path, capsys):
@@ -366,8 +366,49 @@ def test_synth_spec_of_wrong_type_is_an_error(tmp_path, capsys, edit, named):
     rc = run_cli("synth", "--spec", str(spec_path), "--sims", "1", "--out", str(out))
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: synthetic spec") and named in err
+    assert err.startswith(f"error: synthetic spec {spec_path} ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [{"group_sizes": [3, 0, 3]}, {"planted": [{"tokens": ["tok00001"],
+                                                                              "probs": [0, 0, 1]}]}])
+def test_synth_spec_of_bad_value_is_named(tmp_path, capsys, edit):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**json.loads((FIXTURES / "synth_spec.json").read_text()), **edit}))
+    rc = run_cli("synth", "--spec", str(spec_path), "--sims", "1", "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: synthetic spec {spec_path}: ")
+
+
+def test_synth_spec_whose_groups_differ_from_the_config_is_named(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"groups": [["low", [1, 2]], ["high", [3, 4]]]}))
+    spec_path = FIXTURES / "synth_spec.json"
+    corpus_out, out = tmp_path / "corpus", tmp_path / "out"
+    rc = run_cli("synth", "--config", str(config), "--spec", str(spec_path), "--sims", "1",
+                 "--corpus-out", str(corpus_out), "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: synthetic spec {spec_path}: "
+                                       "group_sizes must align with the group scheme\n")
+    assert not corpus_out.exists() and not out.exists()
+
+
+def test_synth_with_no_simulations_writes_nothing(tmp_path, capsys):
+    corpus_out, out = tmp_path / "corpus", tmp_path / "out"
+    rc = run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "0",
+                 "--corpus-out", str(corpus_out), "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --sims must be >= 1, got 0\n"
+    assert not corpus_out.exists() and not out.exists()
+
+
+def test_empty_report_is_named(tmp_path, capsys):
+    in_path = tmp_path / "report.jsonl"
+    in_path.write_text("\n")
+    rc = run_cli("report", "--in", str(in_path))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: report {in_path}: "
+                                       "cannot rebuild a report from an empty JSON-lines stream\n")
 
 
 @pytest.mark.parametrize("rule, named", [
@@ -382,7 +423,7 @@ def test_rule_of_wrong_type_is_an_error(tmp_path, capsys, rule, named):
     rc = run_cli("clean", "--in", str(FIXTURES / "metadata.jsonl"), "--rules", str(rules), "--out", str(out))
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error: rule 2 ") and named in captured.err
+    assert captured.err.startswith(f"error: rule file {rules}: rule 2 ") and named in captured.err
     assert "active rules" not in captured.out
     assert not out.exists()
 
@@ -396,7 +437,8 @@ def test_rule_whose_wrapped_pattern_fails_to_compile_is_an_error(tmp_path, capsy
     rc = run_cli("clean", "--in", str(FIXTURES / "metadata.jsonl"), "--rules", str(rules), "--out", str(out))
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: invalid pattern '(?i)copyright.*'") and "Traceback" not in err
+    assert err.startswith(f"error: rule file {rules}: rule 1: invalid pattern '(?i)copyright.*'")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -421,7 +463,7 @@ def test_report_row_of_wrong_type_is_an_error(tmp_path, capsys, fmt, edit, named
     rc = run_cli("report", "--in", str(in_path), "--format", fmt)
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error: line 2: report row") and named in captured.err
+    assert captured.err.startswith(f"error: report {in_path}: line 2: report row") and named in captured.err
     assert captured.out == ""
 
 
@@ -439,7 +481,7 @@ def test_report_rows_of_mixed_scopes_are_an_error(tmp_path, capsys, edit, named)
     rc = run_cli("report", "--in", str(in_path), "--format", "csv")
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith(f"error: line 3: {named} ") and "line 1" in captured.err
+    assert captured.err.startswith(f"error: report {in_path}: line 3: {named} ") and "line 1" in captured.err
     assert captured.out == ""
 
 
@@ -448,7 +490,7 @@ def test_report_line_of_invalid_json_names_the_line(tmp_path, capsys):
     in_path.write_text(jsonl(REPORT_ROW) + "{\n")
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON")
 
 
 def test_report_line_nested_too_deeply_names_the_line(tmp_path, capsys):
@@ -456,7 +498,7 @@ def test_report_line_nested_too_deeply_names_the_line(tmp_path, capsys):
     in_path.write_text(jsonl(REPORT_ROW) + "[" * 100_000 + "\n")
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: nested too deeply")
+    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON: nested too deeply")
 
 
 def test_report_line_with_an_overlong_integer_names_the_line(tmp_path, capsys):
@@ -464,7 +506,7 @@ def test_report_line_with_an_overlong_integer_names_the_line(tmp_path, capsys):
     in_path.write_text(jsonl(REPORT_ROW) + '{"m": ' + "9" * 5000 + "}\n")
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: Exceeds the limit")
+    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON: Exceeds the limit")
 
 
 def test_report_line_that_is_not_utf8_names_the_line(tmp_path, capsys):
@@ -472,7 +514,7 @@ def test_report_line_that_is_not_utf8_names_the_line(tmp_path, capsys):
     in_path.write_bytes(jsonl(REPORT_ROW).encode() + b'{"scope": "caf\xe9"}\n')
     rc = run_cli("report", "--in", str(in_path))
     assert rc == 1
-    assert capsys.readouterr().err == "error: line 2: invalid UTF-8: byte 0xe9 at column 15\n"
+    assert capsys.readouterr().err == f"error: report {in_path}: line 2: invalid UTF-8: byte 0xe9 at column 15\n"
 
 
 def test_report_line_with_an_unpaired_surrogate_escape_names_the_line(tmp_path, capsys):
@@ -481,7 +523,8 @@ def test_report_line_with_an_unpaired_surrogate_escape_names_the_line(tmp_path, 
     out_file = tmp_path / "out" / "report.csv"
     rc = run_cli("report", "--in", str(in_path), "--format", "csv", "--out-file", str(out_file))
     assert rc == 1
-    assert capsys.readouterr().err == "error: line 2: invalid JSON: unpaired surrogate escape \\ud800\n"
+    assert capsys.readouterr().err == (f"error: report {in_path}: "
+                                       "line 2: invalid JSON: unpaired surrogate escape \\ud800\n")
     assert not out_file.parent.exists()
 
 
@@ -516,6 +559,21 @@ def test_config_group_labels_must_be_distinct_strings(tmp_path, capsys, groups, 
     assert rc == 1
     assert err.startswith("error: ") and named in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["scores", "metadata", "rules", "output_dir"])
+def test_config_path_with_a_nul_character_is_named(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    paths = {"scores": str(FIXTURES / "scores.jsonl"), "metadata": str(FIXTURES / "metadata.jsonl"),
+             "rules": None, "output_dir": str(out)}
+    paths[key] = str(tmp_path / "a\0b")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(paths))
+    rc = run_cli("pipeline", "--config", str(cfg_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: config {cfg_path} key {key!r}: ")
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("scopes", ["foo:bar", "unit", "unit:", "all,panel:"])

@@ -80,7 +80,7 @@ def test_scope_term_sets_share_one_string_per_token(monkeypatch):
     monkeypatch.setattr(pipeline, "build_tables", capturing_build_tables)
     outcome = pipeline.analyze_scope(pipeline.clean_documents(two_units_sharing_an_id(), []), "unit:1", CONFIG, 0)
     (term_sets,) = seen
-    assert [ts.units for ts in term_sets] == [[["apple", "red"]], [["apple", "green"]], [["apple", "ripe"]]]
+    assert [ts.units for ts in term_sets] == [(("apple", "red"),), (("apple", "green"),), (("apple", "ripe"),)]
     first, second, third = (ts.units[0][0] for ts in term_sets)
     assert first is second is third
     assert words(outcome) == {"apple", "red", "green", "ripe"}
@@ -138,7 +138,7 @@ def test_a_memo_hit_still_checks_n_max_and_the_cleaned_abstract():
                    keywords=["key"])
     memo = {}
     first = textproc.extract_terms(doc, 2, {}, memo)
-    assert memo == {("A title", "Some words.", "key"): [["a", "title"], ["some", "words"], ["key"]]}
+    assert memo == {("A title", "Some words.", "key"): (("a", "title"), ("some", "words"), ("key",))}
     assert textproc.extract_terms(doc, 2, {}, memo).units is first.units
     with pytest.raises(ValueError, match="n_max"):
         textproc.extract_terms(doc, 9, {}, memo)

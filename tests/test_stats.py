@@ -297,14 +297,17 @@ def tabulation_inputs(draw):
 
 
 def assert_tables_match_oracle(term_sets, groups, min_df):
-    """build_tables gives the oracle's tables, also with every phrase in one, two or four buckets; returns them."""
+    """build_tables gives the oracle's tables, with units as lists or as tuples (as extraction makes
+    them), also with every phrase in one, two or four buckets; returns them."""
     want = build_tables_oracle(term_sets, groups, 3, min_df)
-    assert build_tables(term_sets, groups, 3, min_df) == want
-    # Masks 0, 1 and 3 put every phrase into one, two or four hash buckets, so light
-    # phrases share heavy buckets and only the exact document-frequency cut removes them.
-    for mask in (0, 1, 3):
-        with mock.patch.object(stats, "_bucket_mask", return_value=mask):
-            assert build_tables(term_sets, groups, 3, min_df) == want
+    as_tuples = [DocTermSet(tuple(map(tuple, ts.units)), ts.n_max) for ts in term_sets]
+    for sets in (term_sets, as_tuples):
+        assert build_tables(sets, groups, 3, min_df) == want
+        # Masks 0, 1 and 3 put every phrase into one, two or four hash buckets, so light
+        # phrases share heavy buckets and only the exact document-frequency cut removes them.
+        for mask in (0, 1, 3):
+            with mock.patch.object(stats, "_bucket_mask", return_value=mask):
+                assert build_tables(sets, groups, 3, min_df) == want
     return want
 
 

@@ -236,13 +236,30 @@ def test_extract_shares_one_string_per_token_through_vocab():
     vocab = {}
     first = extract_terms(make_doc("Shared words here."), 2, vocab)
     second = extract_terms(make_doc("Other shared words."), 2, vocab)
-    assert first.units == [["shared", "words", "here"]]
-    assert second.units == [["other", "shared", "words"]]
+    assert first.units == (("shared", "words", "here"),)
+    assert second.units == (("other", "shared", "words"),)
     assert first.units[0][0] is second.units[0][1]
     assert first.units[0][1] is second.units[0][2]
     assert vocab == {token: token for token in ("shared", "words", "here", "other")}
     # Without a table each call keeps its own strings, with the same terms.
     assert extract_terms(make_doc("Shared words here."), 2).terms == first.terms
+
+
+def test_a_memo_hit_returns_the_same_tuple_of_tuples():
+    doc = make_doc("Shared words here. More words.")
+    memo = {}
+    first = extract_terms(doc, 2, {}, memo)
+    again = extract_terms(doc, 3, {}, memo)
+    assert type(first.units) is tuple and all(type(unit) is tuple for unit in first.units)
+    assert again.units is first.units
+    assert list(memo.values()) == [first.units]
+
+
+def test_doc_term_set_takes_no_other_attribute():
+    term_set = extract_terms(make_doc("Shared words here."), 2)
+    with pytest.raises(AttributeError):
+        term_set.extra = 1
+    assert not hasattr(term_set, "__dict__")
 
 
 def test_extract_respects_nmax_length():
