@@ -4,7 +4,8 @@ Subcommands: link, dedup, clean, analyze, report, synth, pipeline. Every
 stage reads and writes plain files (JSON-lines corpora, CSV/JSONL/text
 reports, a JSON manifest), so intermediate artifacts can be checked by hand.
 Identical inputs, config and seed produce byte-identical outputs whatever the
-input line order. Set TERMASSOC_LOG=DEBUG|INFO|WARNING for log verbosity.
+input line order. Diagnostics go to stderr as `warning: …` lines, and a
+failure as one `error: …` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import csv
 import dataclasses
 import io
 import json
-import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,10 +23,6 @@ from typing import ClassVar, Optional
 from . import cleanse, corpus, pipeline, synth
 from .report import FORMATS, emit_report, parse_jsonl
 from .stats import AnalysisConfig
-
-logger = logging.getLogger(__name__)
-
-LOG_ENV = "TERMASSOC_LOG"
 
 
 @dataclass
@@ -48,8 +43,10 @@ class PipelineConfig:
     threads: int = 1                       # read by nothing: scopes run one at a time
     groups: Optional[list] = None          # GroupScheme.to_config() entries
     drop_missing_unit: bool = True
-    # Set by load: whether the config file or --seed named a seed, 0 included.
+    # Set by load: whether the config file or --seed named a seed, 0 included,
+    # and the config file's path.
     seed_given: ClassVar[bool] = False
+    config_path: ClassVar[Optional[str]] = None
 
     @classmethod
     def load(cls, path: Optional[str], args: argparse.Namespace) -> "PipelineConfig":
@@ -65,12 +62,13 @@ class PipelineConfig:
         flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
         cfg = dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
         cfg.seed_given = seed_given
+        cfg.config_path = path
         return cfg
 
     def group_scheme(self) -> corpus.GroupScheme:
         if self.groups is None:
             return corpus.default_group_scheme()
-        return corpus.GroupScheme.from_config(self.groups)
+        return corpus.GroupScheme.from_config(self.groups, f"config {self.config_path} key 'groups'")
 
     def analysis_config(self) -> AnalysisConfig:
         return AnalysisConfig(
@@ -116,11 +114,9 @@ def _read_documents(path: str, label: str) -> list[corpus.Document]:
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {label} file {path!r}: {exc}") from exc
     for lineno, msg in parsed.errors:
-        logger.error("%s:%d: %s", path, lineno, msg)
+        print(f"warning: {path}:{lineno}: {msg}", file=sys.stderr)
     if parsed.errors:
         print(f"warning: {len(parsed.errors)} malformed record(s) skipped in {path}", file=sys.stderr)
-    if parsed.missing_abstracts:
-        logger.info("%s: %d record(s) without an abstract", path, parsed.missing_abstracts)
     return parsed.documents
 
 
@@ -146,8 +142,10 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     score_records = _read_documents(cfg.scores, "scores")
     metadata = _read_documents(cfg.metadata, "metadata")
     if not metadata:
-        logger.warning("metadata file %s is empty; everything will be unmatched", cfg.metadata)
+        print(f"warning: metadata file {cfg.metadata} is empty; everything will be unmatched", file=sys.stderr)
     link = corpus.link_records(score_records, metadata)
+    for msg in link.diagnostics:
+        print(f"warning: {msg}", file=sys.stderr)
     merged = corpus.merge_linked(score_records, metadata, link)
     del score_records, metadata   # the writes below reuse their memory; merged holds what it needs
 
@@ -357,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    level = os.environ.get(LOG_ENV, "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import random
 import re
@@ -26,8 +25,6 @@ try:
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
-
-logger = logging.getLogger(__name__)
 
 VALID_SCORES = (0, 1, 2, 3, 4)
 
@@ -123,11 +120,10 @@ class Document:
 
 @dataclass
 class ParseResult:
-    """The parsed Documents, the malformed lines, and how many records had no abstract."""
+    """The parsed Documents and the malformed lines."""
 
     documents: list[Document]
     errors: list[tuple[int, str]]   # (1-based line number, diagnostic)
-    missing_abstracts: int
 
 
 _STR_FIELDS = ("id", "doi", "title", "journal", "abstract", "abstract_clean", "unit", "panel", "submitter")
@@ -139,13 +135,12 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     Malformed records are collected as (line, diagnostic) pairs and parsing
     continues; nothing is silently dropped. A line that `decode_json` rejects
     is malformed, and so is a repeated id: the later record is reported and
-    skipped. Records missing an abstract parse with empty text and are
-    counted, so linkage statistics stay computable. Records of one stream
-    share one string per distinct journal, unit, panel, submitter or keyword.
+    skipped. Records missing an abstract parse with empty text, so they
+    still link. Records of one stream share one string per distinct journal,
+    unit, panel, submitter or keyword.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
-    missing_abstracts = 0
     first_line: dict[str, int] = {}   # id -> line it first appeared on
     share = {}.setdefault   # these field values repeat across records: keep one string each
     for lineno, raw, problem in iter_json_lines(stream):
@@ -157,8 +152,6 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
             errors.append((lineno, f"duplicate id {raw['id']!r} (first on line {first_line[raw['id']]})"))
             continue
         first_line[raw["id"]] = lineno
-        if "abstract" not in raw:
-            missing_abstracts += 1
         journal = raw.get("journal") or ""
         unit = raw.get("unit") or ""
         panel = raw.get("panel") or ""
@@ -179,7 +172,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 submitter=share(submitter, submitter),
             )
         )
-    return ParseResult(documents, errors, missing_abstracts)
+    return ParseResult(documents, errors)
 
 
 def _validate_record(raw) -> Optional[str]:
@@ -385,11 +378,14 @@ class GroupScheme:
         return [[label, sorted(scores)] for label, scores in self.groups]
 
     @classmethod
-    def from_config(cls, entries) -> "GroupScheme":
-        """Build a scheme from the [[label, [score, ...]], ...] shape to_config writes."""
-        for i, entry in enumerate(check_json(entries, list, "groups"), start=1):
-            check_json(entry, tuple[str, list[int]], f"group {i} ([label, [grade, ...]])")
-        return cls(entries)
+    def from_config(cls, entries, what: str = "groups") -> "GroupScheme":
+        """Build a scheme from to_config's [[label, [score, ...]], ...]; every error starts with `what`."""
+        try:
+            for i, entry in enumerate(check_json(entries, list, "the scheme"), start=1):
+                check_json(entry, tuple[str, list[int]], f"group {i} ([label, [grade, ...]])")
+            return cls(entries)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
 
 
 def default_group_scheme() -> GroupScheme:
@@ -414,7 +410,7 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
     records matches the first id in sorted order, with a diagnostic. A record
     whose DOI is missing or unknown falls through to the lowercased,
     whitespace-free title+journal key. A key shared by several metadata records
-    is a collision: no match, diagnostic emitted. Title+journal matches whose
+    is a collision: no match, with a diagnostic. Title+journal matches whose
     normalized title is shorter than 20 characters are flagged suspicious for
     manual review. Empty keys never match. DOI diagnostics precede title+journal
     ones, each in record-id order.
@@ -440,9 +436,8 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
         ids = by_doi.get(rec.doi)
         if ids:
             if len(ids) > 1:
-                msg = f"doi {rec.doi!r} duplicated in metadata ({len(ids)} records); matched first by sorted id"
-                result.diagnostics.append(msg)
-                logger.warning(msg)
+                result.diagnostics.append(
+                    f"doi {rec.doi!r} duplicated in metadata ({len(ids)} records); matched first by sorted id")
             result.matched.append((rec.id, ids[0], "doi"))
             continue
         ids = by_tj.get(key)

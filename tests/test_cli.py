@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import json
-import logging
 import os
 import re
 import shlex
@@ -65,15 +64,6 @@ def test_link_counts_tiny_fixture(tiny, tmp_path, capsys):
     assert ",title_journal,true," in comment_row
 
 
-def test_link_logs_one_count_of_records_without_an_abstract(tiny, tmp_path, caplog):
-    scores, metadata = tiny
-    caplog.set_level(logging.INFO)
-    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "out")) == 0
-    # Every scores record lacks an abstract; every metadata record has one.
-    counted = [r.getMessage() for r in caplog.records if "without an abstract" in r.getMessage()]
-    assert counted == [f"{scores}: 3 record(s) without an abstract"]
-
-
 def test_link_two_matchable_one_not(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     metadata = tmp_path / "m.jsonl"
@@ -100,7 +90,50 @@ def test_link_empty_metadata_all_unmatched(tmp_path, capsys):
     scores.write_text(jsonl({"id": "r1", "doi": "10.1/a", "unit": "1", "score": 3}))
     metadata.write_text("")
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "o")) == 0
-    assert "1 unmatched" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "1 unmatched" in captured.out
+    assert captured.err == f"warning: metadata file {metadata} is empty; everything will be unmatched\n"
+
+
+def test_link_prints_each_summary_diagnostic_as_a_warning(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    metadata = tmp_path / "m.jsonl"
+    scores.write_text(
+        jsonl(
+            {"id": "r1", "doi": "10.1/a", "unit": "1", "score": 3},
+            {"id": "r2", "title": "Shared Title", "journal": "J", "unit": "1", "score": 3},
+            {"id": "r3", "doi": "10.1/b", "unit": "1", "score": 3},
+        )
+    )
+    metadata.write_text(
+        jsonl(
+            {"id": "m1", "doi": "10.1/a", "abstract": "x"},
+            {"id": "m2", "doi": "10.1/a", "abstract": "x"},
+            {"id": "m3", "title": "Shared title", "journal": "j", "abstract": "x"},
+            {"id": "m4", "title": "shared  title", "journal": "J", "abstract": "x"},
+            {"id": "m5", "doi": "10.1/b", "abstract": "x"},
+            {"id": "m6", "doi": "10.1/b", "abstract": "x"},
+        )
+    )
+    out = tmp_path / "o"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    diagnostics = json.loads((out / "link_summary.json").read_text())["diagnostics"]
+    assert len(diagnostics) == 3 and "collision" in diagnostics[-1]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {msg}" for msg in diagnostics]
+
+
+def test_cli_ignores_the_old_log_level_variable_and_loads_no_logging(tmp_path):
+    # Diagnostics are plain stderr lines: no environment variable sets their level.
+    probe = ("import sys; from termassoc.cli import main; "
+             "rc = main(sys.argv[1:]); print('logging' in sys.modules); sys.exit(rc)")
+    argv = ["link", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),
+            "--out", str(tmp_path / "out")]
+    src = Path(termassoc.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), "TERMASSOC_LOG": "basic_format"})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_link_duplicate_score_id_keeps_first_record(tmp_path, capsys):
@@ -127,7 +160,7 @@ def test_link_duplicate_score_id_keeps_first_record(tmp_path, capsys):
     ]
 
 
-def test_link_deeply_nested_line_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+def test_link_deeply_nested_line_is_one_malformed_record(tiny, tmp_path, capsys):
     scores, metadata = tiny
     before, after = tmp_path / "before", tmp_path / "after"
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(before)) == 0
@@ -137,13 +170,13 @@ def test_link_deeply_nested_line_is_one_malformed_record(tiny, tmp_path, capsys,
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
     captured = capsys.readouterr()
     assert f"1 malformed record(s) skipped in {scores}" in captured.err
-    assert f"{scores}:3: invalid JSON: nested too deeply" in caplog.text
+    assert f"warning: {scores}:3: invalid JSON: nested too deeply" in captured.err
     assert "linked 2 by doi, 1 by title/journal, 0 unmatched, 1 suspicious" in captured.out
     for name in ("merged.jsonl", "link_report.csv"):
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
-def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_path, capsys):
     # json.loads raises a plain ValueError for an integer past sys.get_int_max_str_digits().
     scores, metadata = tiny
     before, after = tmp_path / "before", tmp_path / "after"
@@ -154,12 +187,12 @@ def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_pa
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
     captured = capsys.readouterr()
     assert f"1 malformed record(s) skipped in {scores}" in captured.err
-    assert f"{scores}:3: invalid JSON: Exceeds the limit" in caplog.text
+    assert f"warning: {scores}:3: invalid JSON: Exceeds the limit" in captured.err
     for name in ("merged.jsonl", "link_report.csv"):
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
-def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, capsys, caplog):
+def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, capsys):
     # A byte that is not UTF-8 spoils its own line only; the other records still link.
     scores, metadata = tiny
     before, after = tmp_path / "before", tmp_path / "after"
@@ -169,14 +202,15 @@ def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, caps
     scores.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[2:]))
     capsys.readouterr()
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
-    assert f"1 malformed record(s) skipped in {scores}" in capsys.readouterr().err
-    assert f"{scores}:3: invalid UTF-8: byte 0xff at column 25" in caplog.text
+    err = capsys.readouterr().err
+    assert f"1 malformed record(s) skipped in {scores}" in err
+    assert f"warning: {scores}:3: invalid UTF-8: byte 0xff at column 25" in err
     for name in ("merged.jsonl", "link_report.csv"):
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
 @pytest.mark.parametrize("target", ["scores", "metadata", "corpus"])
-def test_unpaired_surrogate_escape_is_one_malformed_record(tiny, tmp_path, capsys, caplog, target):
+def test_unpaired_surrogate_escape_is_one_malformed_record(tiny, tmp_path, capsys, target):
     # json.loads reads \ud800 as a lone surrogate, which no UTF-8 output file can hold.
     scores, metadata = tiny
     corpus_path = tmp_path / "linked" / "merged.jsonl"
@@ -194,8 +228,9 @@ def test_unpaired_surrogate_escape_is_one_malformed_record(tiny, tmp_path, capsy
     else:
         argv, written = ["link", "--scores", str(scores), "--metadata", str(metadata)], out / "merged.jsonl"
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert f"1 malformed record(s) skipped in {path}" in capsys.readouterr().err
-    assert f"{path}:2: invalid JSON: unpaired surrogate escape \\ud800" in caplog.text
+    err = capsys.readouterr().err
+    assert f"1 malformed record(s) skipped in {path}" in err
+    assert f"warning: {path}:2: invalid JSON: unpaired surrogate escape \\ud800" in err
     assert [json.loads(line)["id"] for line in written.read_text().splitlines()] == ["r1", "r3"]
 
 
@@ -285,7 +320,7 @@ def test_failed_write_leaves_no_partial_corpus(tmp_path, monkeypatch, capsys):
     assert not list(out.glob("*.tmp"))
 
 
-def test_link_non_string_keywords_are_a_malformed_record(tmp_path, capsys, caplog):
+def test_link_non_string_keywords_are_a_malformed_record(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     metadata = tmp_path / "m.jsonl"
     scores.write_text(jsonl({"id": "r1", "doi": "10.1/a", "unit": "1", "score": 4}))
@@ -297,8 +332,9 @@ def test_link_non_string_keywords_are_a_malformed_record(tmp_path, capsys, caplo
     )
     out = tmp_path / "o"
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
-    assert f"1 malformed record(s) skipped in {metadata}" in capsys.readouterr().err
-    assert f"{metadata}:2: field 'keywords' must be a list of strings" in caplog.text
+    err = capsys.readouterr().err
+    assert f"1 malformed record(s) skipped in {metadata}" in err
+    assert f"warning: {metadata}:2: field 'keywords' must be a list of strings" in err
     merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
     assert merged == []
     assert "r1,,none,false," in (out / "link_report.csv").read_text()
@@ -542,6 +578,20 @@ def test_json_file_that_does_not_parse_is_named(tmp_path, capsys, flag, what, te
     assert rc == 1
     assert err.startswith(f"error: {what} {bad}: invalid JSON")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("groups, problem", [
+    ([1, 2], "group 1 ([label, [grade, ...]]) has the wrong type: 1"),
+    ([["a", [1, 2]], ["b", [3]]], "group scheme must cover scores {1,2,3,4} exactly"),
+], ids=["type", "range"])
+def test_config_groups_error_names_the_file_and_key(tmp_path, capsys, groups, problem):
+    # groups has no flag, so every error in it comes from the config file.
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps({"groups": groups}))
+    rc = run_cli("analyze", "--config", str(cfg_path), "--in", str(tmp_path / "absent.jsonl"),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: config {cfg_path} key 'groups': {problem}\n"
 
 
 @pytest.mark.parametrize("groups, named", [

@@ -37,7 +37,7 @@ def test_parse_round_trip_all_fields():
         "unit": "3", "panel": "A", "score": 4, "submitter": "uni-x",
     }
     parsed = parse_records(lines(rec))
-    assert not parsed.errors and not parsed.missing_abstracts
+    assert not parsed.errors
     (doc,) = parsed.documents
     assert (doc.id, doc.doi, doc.title, doc.journal) == ("r1", "10.1/ab", "T", "J")
     assert doc.abstract_raw == "Some text."
@@ -68,7 +68,6 @@ def test_parse_missing_abstract_warns_and_defaults_empty():
     parsed = parse_records(lines({"id": "r1", "score": 3, "unit": "2"}))
     (doc,) = parsed.documents
     assert doc.abstract_raw == ""
-    assert parsed.missing_abstracts == 1
 
 
 def test_parse_score_zero_retained():

@@ -45,7 +45,6 @@ def test_traced_multiscope_run_passes_the_output_and_trace_checks(tmp_path, monk
     inputs, out, trace = tmp_path / "inputs", tmp_path / "out", tmp_path / "spans.json"
     key = workloads.generate("multiscope", 3, inputs)
     env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
-    env.pop("TERMASSOC_LOG", None)
     run = subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), str(trace), "--", *key["argv"],
                           "--out", str(out)], cwd=inputs, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
