@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import cleanse, corpus, pipeline, synth
 from .report import FORMATS, emit_report, parse_jsonl
@@ -108,9 +108,10 @@ def _write_json(path: Path, obj):
     corpus.write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _read_documents(path: str, label: str) -> list[corpus.Document]:
+def _read_documents(path: str, label: str,
+                    keep_text: Optional[Callable[[corpus.Document], bool]] = None) -> list[corpus.Document]:
     try:
-        parsed = corpus.read_jsonl(path)
+        parsed = corpus.read_jsonl(path, keep_text)
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {label} file {path!r}: {exc}") from exc
     for lineno, msg in parsed.errors:
@@ -140,14 +141,24 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     if not cfg.scores or not cfg.metadata:
         raise FileNotFoundError("link needs --scores and --metadata files")
     score_records = _read_documents(cfg.scores, "scores")
-    metadata = _read_documents(cfg.metadata, "metadata")
-    if not metadata:
+    # A metadata record under no key that a score record looks up can never be merged: it keeps
+    # no text and goes with the parse result, so link_records sees, and keys, only the others.
+    by_doi, by_tj = corpus.lookup_index(score_records)
+    linkable = []
+
+    def keep_text(doc: corpus.Document) -> bool:
+        if doc.doi in by_doi or corpus.title_journal_key(doc.title, doc.journal) in by_tj:
+            linkable.append(doc)
+            return True
+        return False
+
+    if not _read_documents(cfg.metadata, "metadata", keep_text):
         print(f"warning: metadata file {cfg.metadata} is empty; everything will be unmatched", file=sys.stderr)
-    link = corpus.link_records(score_records, metadata)
+    link = corpus.link_records(score_records, linkable)
     for msg in link.diagnostics:
         print(f"warning: {msg}", file=sys.stderr)
-    merged = corpus.merge_linked(score_records, metadata, link)
-    del score_records, metadata   # the writes below reuse their memory; merged holds what it needs
+    merged = corpus.merge_linked(score_records, linkable, link)
+    del score_records, linkable   # the writes below reuse their memory; merged holds what it needs
 
     out = Path(cfg.output_dir)
     suspicious = {pair: reason for pair, reason in link.suspicious}

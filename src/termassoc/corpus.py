@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 # The builtin module spares every process the OpenSSL that hashlib loads
 # (about 3.5 MB resident) for a few short digests; Python 3.12 moved it.
@@ -129,7 +129,7 @@ class ParseResult:
 _STR_FIELDS = ("id", "doi", "title", "journal", "abstract", "abstract_clean", "unit", "panel", "submitter")
 
 
-def parse_records(stream: Iterable[str]) -> ParseResult:
+def parse_records(stream: Iterable[str], keep_text: Optional[Callable[[Document], bool]] = None) -> ParseResult:
     """Parse a JSON-lines record stream into Documents.
 
     Malformed records are collected as (line, diagnostic) pairs and parsing
@@ -138,6 +138,11 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
     skipped. Records missing an abstract parse with empty text, so they
     still link. Records of one stream share one string per distinct journal,
     unit, panel, submitter or keyword.
+
+    keep_text, when given, sees each record's Document before its text is
+    set; a record it rejects keeps every other field but holds no text (no
+    abstract, cleaned abstract or keywords). The record still counts, so
+    the result holds one Document per well-formed line either way.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
@@ -156,22 +161,22 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
         unit = raw.get("unit") or ""
         panel = raw.get("panel") or ""
         submitter = raw.get("submitter") or ""
-        keywords = raw.get("keywords") or ()
-        documents.append(
-            Document(
-                id=raw["id"],
-                doi=raw.get("doi"),
-                title=raw.get("title") or "",
-                journal=share(journal, journal),
-                abstract_raw=raw.get("abstract", "") or "",
-                abstract_clean=raw.get("abstract_clean"),
-                keywords=tuple(map(share, keywords, keywords)),
-                unit=share(unit, unit),
-                panel=share(panel, panel),
-                score=raw.get("score"),
-                submitter=share(submitter, submitter),
-            )
+        doc = Document(
+            id=raw["id"],
+            doi=raw.get("doi"),
+            title=raw.get("title") or "",
+            journal=share(journal, journal),
+            unit=share(unit, unit),
+            panel=share(panel, panel),
+            score=raw.get("score"),
+            submitter=share(submitter, submitter),
         )
+        if keep_text is None or keep_text(doc):
+            keywords = raw.get("keywords") or ()
+            doc.abstract_raw = raw.get("abstract") or ""
+            doc.abstract_clean = raw.get("abstract_clean")
+            doc.keywords = tuple(map(share, keywords, keywords))
+        documents.append(doc)
     return ParseResult(documents, errors)
 
 
@@ -195,9 +200,9 @@ def _validate_record(raw) -> Optional[str]:
     return None
 
 
-def read_jsonl(path) -> ParseResult:
+def read_jsonl(path, keep_text: Optional[Callable[[Document], bool]] = None) -> ParseResult:
     with open_json(path) as fh:
-        return parse_records(fh)
+        return parse_records(fh, keep_text)
 
 
 def open_json(path):
@@ -211,6 +216,16 @@ def open_json(path):
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")   # the surrogates that errors="surrogateescape" reads bytes as
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# An escape in \ud800-\udfff, the only source of a lone surrogate (or an escaped backslash before such text).
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# One decoder for every text: NaN, Infinity and -Infinity are not JSON (RFC 8259 section 6).
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _invalid_utf8(text: str) -> Optional[str]:
@@ -227,18 +242,21 @@ def _invalid_utf8(text: str) -> Optional[str]:
 def decode_json(text: str) -> tuple[object, Optional[str]]:
     """Decode one JSON text as (value, None), or as (None, diagnostic) when it is malformed.
 
-    Malformed means a byte that is not UTF-8 (see `open_json`), text that
-    `json.loads` rejects, or an escape such as \\ud800 that leaves a lone
-    surrogate, which I-JSON (RFC 7493) forbids and no UTF-8 file can hold.
+    Malformed means a byte that is not UTF-8 (see `open_json`), a leading
+    byte order mark, text that the json module rejects, one of the constants
+    NaN, Infinity and -Infinity, or an escape such as \\ud800 that leaves a
+    lone surrogate, which I-JSON (RFC 7493) forbids and no UTF-8 file can hold.
     """
     problem = _invalid_utf8(text)
     if problem:
         return None, problem
+    if text.startswith("\ufeff"):
+        return None, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"   # json.loads' own message
     try:
-        value = json.loads(text)
-        # Only an escape can leave a lone surrogate; dumps writes it back as itself.
-        bad = "\\u" in text and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
-    except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
+        value = _DECODER.decode(text)
+        # Only a surrogate escape can leave a lone surrogate; dumps writes it back as itself.
+        bad = _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
+    except ValueError as exc:   # JSONDecodeError, a constant, or an integer too long to convert
         return None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
     except RecursionError:
         return None, "invalid JSON: nested too deeply"
@@ -248,9 +266,12 @@ def decode_json(text: str) -> tuple[object, Optional[str]]:
 
 
 def iter_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object, Optional[str]]]:
-    """(1-based line number, value, diagnostic) for each non-blank line, decoded by `decode_json`."""
+    """(1-based line number, value, diagnostic) for each line, decoded by `decode_json`.
+
+    Only a line of JSON whitespace (space, tab, CR, LF) is skipped; one of a form feed, say, is malformed.
+    """
     for lineno, line in enumerate(lines, start=1):
-        if line and not line.isspace():
+        if line.strip(" \t\r\n"):
             yield (lineno, *decode_json(line))
 
 
@@ -403,6 +424,19 @@ class LinkResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def lookup_index(score_records: list[Document]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(by_doi, by_tj): an empty list for metadata ids under each key that some score record looks up.
+
+    Those keys are each record's DOI and its non-empty title+journal key, and
+    only they are indexed, so metadata that no record wants costs no memory.
+    A metadata record under none of them cannot be linked, so `cli.run_link`
+    keeps no text for it.
+    """
+    by_doi = {rec.doi: [] for rec in score_records if rec.doi}
+    by_tj = {key: [] for rec in score_records if (key := title_journal_key(rec.title, rec.journal))}
+    return by_doi, by_tj
+
+
 def link_records(score_records: list[Document], metadata: list[Document]) -> LinkResult:
     """Two-stage linkage: DOI first, then title+journal for records the DOI misses.
 
@@ -416,11 +450,7 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
     ones, each in record-id order.
     """
     records = sorted(score_records, key=lambda d: d.id)
-    record_keys = [title_journal_key(rec.title, rec.journal) for rec in records]
-    # Only the keys some record looks up are indexed, so metadata no record
-    # wants costs no memory. Empty keys are never stored and so never match.
-    by_doi: dict[str, list[str]] = {rec.doi: [] for rec in records if rec.doi}
-    by_tj: dict[str, list[str]] = {key: [] for key in record_keys if key}
+    by_doi, by_tj = lookup_index(records)
     for doc in metadata:
         if doc.doi in by_doi:
             by_doi[doc.doi].append(doc.id)
@@ -432,7 +462,7 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
 
     result = LinkResult()
     tj_diagnostics = []
-    for rec, key in zip(records, record_keys):
+    for rec in records:
         ids = by_doi.get(rec.doi)
         if ids:
             if len(ids) > 1:
@@ -440,7 +470,7 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
                     f"doi {rec.doi!r} duplicated in metadata ({len(ids)} records); matched first by sorted id")
             result.matched.append((rec.id, ids[0], "doi"))
             continue
-        ids = by_tj.get(key)
+        ids = by_tj.get(title_journal_key(rec.title, rec.journal))
         if not ids:
             result.unmatched.append(rec.id)
         elif len(ids) > 1:

@@ -260,6 +260,56 @@ def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     assert [(d["id"], d["keywords"]) for d in merged] == [("r1", [])]
 
 
+def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, monkeypatch, capsys):
+    scores, metadata = tmp_path / "s.jsonl", tmp_path / "m.jsonl"
+    scores.write_text(jsonl(
+        {"id": "r1", "doi": "10.1/A", "unit": "1", "score": 4},
+        {"id": "r2", "title": "Matched By Key", "journal": "J", "unit": "1", "score": 3},
+        {"id": "r3", "title": "Colliding", "journal": "J", "unit": "1", "score": 2},
+    ))
+    text = {"abstract": "Some text.", "keywords": ["kw"]}
+    metadata.write_text(jsonl(
+        {"id": "m1", "doi": "10.1/a", "title": "By DOI", "journal": "J", **text},
+        {"id": "m2", "title": "matched by key", "journal": "J", **text},
+        {"id": "m3", "doi": "10.1/other", "title": "Nobody Wants This", "journal": "J", **text},
+        {"id": "m4", "title": "Colliding", "journal": "J", **text},
+        {"id": "m5", "title": "Colliding", "journal": "J", **text},
+        {"id": "m3", "title": "Nobody Wants This Either", "journal": "J", **text},
+        {"id": "m6", "title": "Nobody Wants This", "keywords": "kw"},
+    ))
+    parsed, linked = {}, []
+    read_jsonl, link_records = corpus.read_jsonl, corpus.link_records
+
+    def read_spy(path, keep_text=None):
+        parsed[Path(path).name] = result = read_jsonl(path, keep_text)
+        return result
+
+    def link_spy(score_records, meta):
+        linked.extend(doc.id for doc in meta)
+        return link_records(score_records, meta)
+
+    monkeypatch.setattr(corpus, "read_jsonl", read_spy)
+    monkeypatch.setattr(corpus, "link_records", link_spy)
+    out = tmp_path / "out"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    # Every well-formed line still becomes a record; only those nothing can match lose their text,
+    # and only the others reach the link.
+    docs = {doc.id: doc for doc in parsed["m.jsonl"].documents}
+    assert {i: (d.abstract_raw, d.keywords) for i, d in docs.items()} == {
+        "m1": ("Some text.", ("kw",)), "m2": ("Some text.", ("kw",)), "m3": ("", ()),
+        "m4": ("Some text.", ("kw",)), "m5": ("Some text.", ("kw",))}
+    assert (docs["m3"].doi, docs["m3"].title, docs["m3"].journal) == ("10.1/other", "Nobody Wants This", "J")
+    assert linked == ["m1", "m2", "m4", "m5"]
+    err = capsys.readouterr().err
+    assert f"warning: {metadata}:6: duplicate id 'm3' (first on line 3)" in err
+    assert f"warning: {metadata}:7: field 'keywords' must be a list of strings" in err
+    assert f"warning: 2 malformed record(s) skipped in {metadata}" in err
+    assert "warning: title+journal key collision for record 'r3': metadata ['m4', 'm5']; no match" in err
+    merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
+    assert [(d["id"], d["abstract"], d["keywords"]) for d in merged] == [
+        ("r1", "Some text.", ["kw"]), ("r2", "Some text.", ["kw"])]
+
+
 def test_analyze_null_title_and_journal_mean_empty(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text(jsonl(*(
@@ -564,8 +614,22 @@ def test_report_line_with_an_unpaired_surrogate_escape_names_the_line(tmp_path, 
     assert not out_file.parent.exists()
 
 
-@pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]", '["\\ud800"]'],
-                         ids=["unclosed", "nested", "trailing-comma", "unpaired-surrogate"])
+@pytest.mark.parametrize("edit, constant", [
+    ({"threshold": float("nan")}, "NaN"),   # it used to parse, then differ even from itself
+    ({"chi2": float("inf"), "p_value": float("nan")}, "Infinity"),   # it used to be written back out
+], ids=["nan-threshold", "infinite-chi2"])
+def test_report_row_with_a_constant_that_is_not_json_names_the_line(tmp_path, capsys, edit, constant):
+    in_path = tmp_path / "a.jsonl"
+    in_path.write_text(json.dumps({**REPORT_ROW, **edit}) + "\n")   # json.dumps writes NaN and Infinity
+    out_file = tmp_path / "out" / "report.jsonl"
+    assert run_cli("report", "--in", str(in_path), "--format", "jsonl", "--out-file", str(out_file)) == 1
+    assert capsys.readouterr().err == (f"error: report {in_path}: "
+                                       f"line 1: invalid JSON: {constant} is not a JSON number\n")
+    assert not out_file.parent.exists()
+
+
+@pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]", '["\\ud800"]', '{"alpha": NaN}'],
+                         ids=["unclosed", "nested", "trailing-comma", "unpaired-surrogate", "nan"])
 @pytest.mark.parametrize("flag, what", [("--config", "config"), ("--rules", "rule file"),
                                         ("--spec", "synthetic spec")], ids=["config", "rules", "spec"])
 def test_json_file_that_does_not_parse_is_named(tmp_path, capsys, flag, what, text):
@@ -712,7 +776,8 @@ def test_pipeline_output_bytes_match_golden_digests(tmp_path, capsys):
     assert run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
                    "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out)) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
-               if p.name.startswith("report_") or p.name in ("manifest.json", "merged.jsonl", "link_report.csv")}
+               if p.name.startswith("report_")
+               or p.name in ("manifest.json", "merged.jsonl", "link_report.csv", "link_summary.json")}
     assert digests == json.loads((FIXTURES / "golden_digests.json").read_text())
 
 

@@ -102,9 +102,85 @@ def test_parse_malformed_records_reported_with_line_numbers():
     (r'"\ude00\ud83d"', None, r"invalid JSON: unpaired surrogate escape \ude00"),
     ('{\n"a": "\udcff"}', None, "invalid UTF-8: byte 0xff at line 2 column 7"),
     ("\x0c{}", None, "invalid JSON: Expecting value"),   # only JSON whitespace pads a value
-], ids=["pair", "escaped-backslash", "nested", "key", "reversed-pair", "not-utf8-in-a-file", "form-feed"])
+    (r'"caf\u00e9 \u2013"', "caf\u00e9 \u2013", None),   # escapes outside the surrogates need no second look
+    (r'"\uD83D\uDE00"', "\U0001F600", None),
+    (r'"\uD800"', None, r"invalid JSON: unpaired surrogate escape \ud800"),
+    (r'"\\\ud800"', None, r"invalid JSON: unpaired surrogate escape \ud800"),   # a backslash, then an escape
+    ("NaN", None, "invalid JSON: NaN is not a JSON number"),
+    ('{"chi2": Infinity}', None, "invalid JSON: Infinity is not a JSON number"),
+    ("[1, -Infinity]", None, "invalid JSON: -Infinity is not a JSON number"),
+    ("\ufeff{}", None, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+], ids=["pair", "escaped-backslash", "nested", "key", "reversed-pair", "not-utf8-in-a-file", "form-feed",
+        "bmp-escapes", "upper-case-pair", "upper-case-lone", "backslash-then-escape", "nan", "infinity",
+        "minus-infinity", "bom"])
 def test_decode_json_values_and_diagnostics(text, value, problem):
     assert corpus.decode_json(text) == (value, problem)
+
+
+def test_iter_json_lines_skips_only_lines_of_json_whitespace():
+    blank = ["", "\n", " \t\r\n", "\r\n"]
+    # str.isspace() holds for each of these, but none is JSON whitespace.
+    other = ["\x0c\n", "\xa0\n", "\u2028\n", "\x85\n", "\x0b\n", *(f"{chr(c)}\n" for c in range(0x1C, 0x20))]
+    got = list(corpus.iter_json_lines([*blank, *other, '{"id": "r1"}\n']))
+    first = len(blank) + 1
+    assert got == [*((n, None, "invalid JSON: Expecting value") for n in range(first, first + len(other))),
+                   (first + len(other), {"id": "r1"}, None)]
+
+
+# ------------------------------------------------------------ keep_text
+
+
+def test_parse_record_that_keep_text_rejects_keeps_its_fields_but_no_text():
+    recs = [
+        {"id": "m1", "doi": " 10.1/A ", "title": "Wanted", "journal": "J", "abstract": "Kept text.",
+         "keywords": ["k1"], "unit": "3", "score": 2, "submitter": "s"},
+        {"id": "m2", "doi": "10.1/b", "title": "Unwanted", "journal": "J", "abstract": "Dropped text.",
+         "abstract_clean": "Dropped.", "keywords": ["k2"], "unit": "3", "score": 4, "submitter": "s"},
+    ]
+    seen = []
+
+    def keep_text(doc):
+        seen.append((doc.id, doc.doi, doc.abstract_raw, doc.keywords))
+        return doc.title == "Wanted"
+
+    kept, dropped = parse_records(lines(*recs), keep_text).documents
+    # The predicate sees the normalised DOI and no text yet.
+    assert seen == [("m1", "10.1/a", "", ()), ("m2", "10.1/b", "", ())]
+    assert (kept.abstract_raw, kept.keywords) == ("Kept text.", ("k1",))
+    assert (dropped.id, dropped.doi, dropped.title, dropped.journal) == ("m2", "10.1/b", "Unwanted", "J")
+    assert (dropped.unit, dropped.panel, dropped.score, dropped.submitter) == ("3", "A", 4, "s")
+    assert (dropped.abstract_raw, dropped.abstract_clean, dropped.keywords) == ("", None, ())
+    assert dropped.keywords is Document(id="x").keywords
+
+
+def test_parse_keep_text_leaves_diagnostics_and_the_record_count_alone():
+    stream = [
+        json.dumps({"id": "m1", "abstract": "one"}),
+        "{not json",
+        json.dumps({"id": "m2", "abstract": "two", "keywords": "not a list"}),
+        json.dumps({"id": "m3", "abstract": "three"}),
+        json.dumps({"id": "m1", "abstract": "a second record with the first id"}),
+    ]
+    asked = []
+    every = parse_records(stream)
+    none = parse_records(stream, lambda doc: asked.append(doc.id) or False)
+    assert none.errors == every.errors == [
+        (2, "invalid JSON: Expecting property name enclosed in double quotes"),
+        (3, "field 'keywords' must be a list of strings"),
+        (5, "duplicate id 'm1' (first on line 1)"),
+    ]
+    assert asked == ["m1", "m3"]   # never asked about a malformed or repeated line
+    assert [d.id for d in none.documents] == [d.id for d in every.documents] == ["m1", "m3"]
+    assert [d.abstract_raw for d in none.documents] == ["", ""]
+
+
+def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():
+    records = [Document(id="r1", doi="10.1/A", title="A  Title", journal="J"),
+               Document(id="r2", title="Other", journal=" K "),
+               Document(id="r3")]   # no DOI and an empty key: it looks nothing up
+    by_doi, by_tj = corpus.lookup_index(records)
+    assert by_doi == {"10.1/a": []}
+    assert by_tj == {"atitlej": [], "otherk": []}
 
 
 def test_parse_doi_normalized():
