@@ -11,11 +11,10 @@ failure as one `error: …` line with exit status 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Optional
@@ -161,23 +160,17 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     del score_records, linkable   # the writes below reuse their memory; merged holds what it needs
 
     out = Path(cfg.output_dir)
-    suspicious = {pair: reason for pair, reason in link.suspicious}
+    suspicious = dict(link.suspicious)
     rows = []
     for rec_id, meta_id, kind in link.matched:
         reason = suspicious.get((rec_id, meta_id), "")
         rows.append([rec_id, meta_id, kind, "true" if reason else "false", reason])
-    for rec_id in link.unmatched:
-        rows.append([rec_id, "", "none", "false", ""])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["record_id", "metadata_id", "match_kind", "suspicious", "reason"])
-    writer.writerows(sorted(rows))
-    corpus.write_atomic(out / "link_report.csv", [buf.getvalue()])
+    rows += [[rec_id, "", "none", "false", ""] for rec_id in link.unmatched]
+    header = ["record_id", "metadata_id", "match_kind", "suspicious", "reason"]
+    corpus.write_atomic(out / "link_report.csv", [corpus.csv_text([header, *sorted(rows)])])
 
     corpus.write_jsonl(out / "merged.jsonl", merged)
-    by_kind = {"doi": 0, "title_journal": 0}
-    for _, _, kind in link.matched:
-        by_kind[kind] += 1
+    by_kind = Counter(kind for _, _, kind in link.matched)
     summary = {
         "matched_doi": by_kind["doi"],
         "matched_title_journal": by_kind["title_journal"],

@@ -4,13 +4,16 @@ The corpus flows through this module as `Document` objects: score records and
 metadata records are parsed from JSON-lines, linked by DOI and then by a
 normalized title+journal key, merged, deduplicated per analysis scope, and
 finally filtered on score and cleaned-abstract length. Every file the CLI
-writes goes through `write_atomic`.
+writes goes through `write_atomic`, and every CSV text is made by `csv_text`.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
+import operator
 import os
 import random
 import re
@@ -101,21 +104,16 @@ class Document:
         return "tj:" + key if key else "id:" + self.id
 
     def to_record(self) -> dict:
-        rec = {
-            "id": self.id,
-            "doi": self.doi,
-            "title": self.title,
-            "journal": self.journal,
-            "abstract": self.abstract_raw,
-            "keywords": self.keywords,
-            "unit": self.unit,
-            "panel": self.panel,
-            "score": self.score,
-            "submitter": self.submitter,
-        }
-        if self.abstract_clean is not None:
-            rec["abstract_clean"] = self.abstract_clean
+        """The corpus record: each field under its name, but abstract_raw under "abstract"; abstract_clean once set."""
+        rec = dict(zip(_RECORD_KEYS, _field_values(self)))
+        if self.abstract_clean is None:
+            del rec["abstract_clean"]
         return rec
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Document))
+_RECORD_KEYS = tuple("abstract" if name == "abstract_raw" else name for name in _FIELD_NAMES)
+_field_values = operator.attrgetter(*_FIELD_NAMES)
 
 
 @dataclass
@@ -215,9 +213,12 @@ def open_json(path):
 
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")   # the surrogates that errors="surrogateescape" reads bytes as
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # An escape in \ud800-\udfff, the only source of a lone surrogate (or an escaped backslash before such text).
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# One escape of a JSON text: a high+low surrogate pair, a lone surrogate (captured), any other \uXXXX, or any
+# other escape. In valid JSON every backslash starts an escape, so a left-to-right scan stays aligned.
+_ESCAPE = re.compile(r"\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                     r"|\\u([dD][89a-fA-F][0-9a-fA-F]{2})|\\u[0-9a-fA-F]{4}|\\.")
 
 
 def _reject_constant(name: str):
@@ -246,6 +247,8 @@ def decode_json(text: str) -> tuple[object, Optional[str]]:
     byte order mark, text that the json module rejects, one of the constants
     NaN, Infinity and -Infinity, or an escape such as \\ud800 that leaves a
     lone surrogate, which I-JSON (RFC 7493) forbids and no UTF-8 file can hold.
+    The text is checked, not the value, so such an escape is malformed even
+    under a key that a later duplicate of the key overwrites.
     """
     problem = _invalid_utf8(text)
     if problem:
@@ -254,14 +257,14 @@ def decode_json(text: str) -> tuple[object, Optional[str]]:
         return None, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"   # json.loads' own message
     try:
         value = _DECODER.decode(text)
-        # Only a surrogate escape can leave a lone surrogate; dumps writes it back as itself.
-        bad = _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(json.dumps(value, ensure_ascii=False))
     except ValueError as exc:   # JSONDecodeError, a constant, or an integer too long to convert
         return None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
     except RecursionError:
         return None, "invalid JSON: nested too deeply"
+    # Only a surrogate escape can leave a lone surrogate: name the first one in the text that no other completes.
+    bad = _SURROGATE_ESCAPE.search(text) and next((m[1] for m in _ESCAPE.finditer(text) if m[1]), None)
     if bad:
-        return None, f"invalid JSON: unpaired surrogate escape \\u{ord(bad.group()):04x}"
+        return None, f"invalid JSON: unpaired surrogate escape \\u{bad.lower()}"
     return value, None
 
 
@@ -305,6 +308,13 @@ def write_atomic(path, chunks: Iterable[str]):
 def json_line(record: dict) -> str:
     """One corpus record as a JSON-lines line: keys sorted, text kept as UTF-8."""
     return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def csv_text(rows: Iterable[list]) -> str:
+    """Rows as CSV text in the csv module's default dialect, each line ending in "\\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def write_jsonl(path, docs: Iterable[Document]):
@@ -486,9 +496,12 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
 
 
 def merge_linked(score_records: list[Document], metadata: list[Document], link: LinkResult) -> list[Document]:
-    """Combine matched pairs into full Documents (metadata text + record score).
+    """Combine matched pairs into full Documents: each is its score record with the metadata's text.
 
-    The result follows `link.matched`, which is in record-id order.
+    A merged document takes the metadata's abstract and keywords, its title
+    and journal unless they are empty, and its DOI when the record has none;
+    its abstract_clean is unset. The result follows `link.matched`, which is
+    in record-id order.
     """
     # Only the metadata some match names is indexed, so the rest costs no memory.
     wanted = {meta_id for _, meta_id, _ in link.matched}
@@ -497,20 +510,9 @@ def merge_linked(score_records: list[Document], metadata: list[Document], link: 
     merged = []
     for rec_id, meta_id, _kind in link.matched:
         rec, meta = rec_by_id[rec_id], meta_by_id[meta_id]
-        merged.append(
-            Document(
-                id=rec.id,
-                doi=rec.doi or meta.doi,
-                title=meta.title or rec.title,
-                journal=meta.journal or rec.journal,
-                abstract_raw=meta.abstract_raw,
-                keywords=meta.keywords,
-                unit=rec.unit,
-                panel=rec.panel,
-                score=rec.score,
-                submitter=rec.submitter,
-            )
-        )
+        merged.append(dataclasses.replace(
+            rec, doi=rec.doi or meta.doi, title=meta.title or rec.title, journal=meta.journal or rec.journal,
+            abstract_raw=meta.abstract_raw, abstract_clean=None, keywords=meta.keywords))
     return merged
 
 

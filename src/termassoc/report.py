@@ -8,13 +8,11 @@ reported; otherwise the top-ranked terms are emitted flagged `illustrative`.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
-from .corpus import check_json, iter_json_lines
+from .corpus import check_json, csv_text, iter_json_lines
 from .stats import TermResult
 from .textproc import iter_ngrams
 
@@ -97,9 +95,7 @@ def _csv_header(labels: list[str]) -> list[str]:
 
 
 def render_csv(report: ScopeReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(report.group_labels))
+    rows = [_csv_header(report.group_labels)]
     for row in report.rows:
         record = [
             report.scope,
@@ -113,8 +109,8 @@ def render_csv(report: ScopeReport) -> str:
         ]
         record.extend(repr(row.proportions[label]) for label in report.group_labels)
         record.extend([report.m, "" if report.threshold is None else repr(report.threshold)])
-        writer.writerow(record)
-    return buf.getvalue()
+        rows.append(record)
+    return csv_text(rows)
 
 
 def render_jsonl(report: ScopeReport) -> str:

@@ -6,9 +6,10 @@ phrase ever spans a sentence or field boundary. Documents contribute presence
 sets: a term counts once per document no matter how often it occurs.
 
 The splitting and tokenizing rules are those stated in `split_sentences` and
-`tokenize`. The splitter tests only the spans one regex scan finds, a '.',
-'!' or '?' followed by whitespace, and tests a '.' with one lowercased slice
-per distinct abbreviation length against the set of abbreviations of that
+`tokenize`; the splitter's abbreviations are the fixed DEFAULT_ABBREVIATIONS.
+The splitter tests only the spans one regex scan finds, a '.', '!' or '?'
+followed by whitespace, and tests a '.' with one lowercased slice per
+distinct abbreviation length against the set of abbreviations of that
 length. The tests check it against a character-by-character reference
 implementation of the same rule.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .corpus import Document
@@ -34,6 +34,9 @@ from .corpus import Document
 N_MAX_LIMIT = 8
 
 DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "Fig.", "et al.", "approx.", "vs.", "Dr.", "No.")
+# Length -> the lowercased abbreviations of that length.
+_ABBREVIATIONS_BY_LENGTH = {len(a): frozenset(b.lower() for b in DEFAULT_ABBREVIATIONS if len(b) == len(a))
+                            for a in DEFAULT_ABBREVIATIONS}
 
 # A token is a maximal run of letters/digits, possibly joined by internal
 # hyphens or apostrophes; underscores and everything else separate.
@@ -51,31 +54,23 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence.lower())
 
 
-@lru_cache(maxsize=16)
-def _by_length(abbreviations: tuple[str, ...]) -> tuple[tuple[int, frozenset[str]], ...]:
-    """(length, the lowercased abbreviations of that length) for each distinct length; immutable, as it is cached."""
-    return tuple((n, frozenset(a.lower() for a in abbreviations if len(a) == n)) for n in set(map(len, abbreviations)))
-
-
-def _closes_abbreviation(text: str, end: int, by_length: tuple[tuple[int, frozenset[str]], ...]) -> bool:
-    """Whether the '.' at text[end - 1] closes an abbreviation of by_length."""
-    for n, lows in by_length:
-        # A length of 0 is the empty abbreviation, which closes every '.'.
+def _closes_abbreviation(text: str, end: int) -> bool:
+    """Whether the '.' at text[end - 1] closes one of DEFAULT_ABBREVIATIONS."""
+    for n, lows in _ABBREVIATIONS_BY_LENGTH.items():
         if n <= end and text[end - n : end].lower() in lows and (n == end or not text[end - n - 1].isalnum()):
             return True
     return False
 
 
-def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split cleaned text into sentences.
 
     A boundary is '.', '!' or '?' followed by whitespace and an uppercase
-    letter or digit, unless the terminator is a '.' closing a listed
-    abbreviation: as many characters as the abbreviation has, ending at
-    the '.', equal it once both are lowercased, and the character before them,
-    if any, is not alphanumeric.
+    letter or digit, unless the terminator is a '.' closing one of
+    DEFAULT_ABBREVIATIONS: as many characters as the abbreviation has, ending
+    at the '.', equal it once both are lowercased, and the character before
+    them, if any, is not alphanumeric.
     """
-    by_length = _by_length(tuple(abbreviations))
     sentences = []
     start = 0
     for m in _CANDIDATE_RE.finditer(text):
@@ -83,7 +78,7 @@ def split_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]
         if k == len(text) or not (text[k].isupper() or text[k].isdigit()):
             continue
         end = m.start() + 1
-        if text[end - 1] == "." and _closes_abbreviation(text, end, by_length):
+        if text[end - 1] == "." and _closes_abbreviation(text, end):
             continue
         piece = text[start:end].strip()
         if piece:

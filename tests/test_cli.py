@@ -899,6 +899,18 @@ def test_report_rerender(tmp_path, capsys):
     assert rendered.read_text() == (out / "report_unit_3.csv").read_text()
 
 
+def test_report_of_a_scope_with_no_tested_terms_cannot_be_rerendered(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),
+                   "--min-df", "100000", "--scopes", "all", "--out", str(out)) == 0
+    assert "scope all: 0 term(s), m=0 (illustrative)" in capsys.readouterr().out
+    assert (out / "report_all.jsonl").read_text() == ""
+    assert (out / "report_all.csv").read_text().count("\n") == 1   # the header alone
+    assert run_cli("report", "--in", str(out / "report_all.jsonl")) == 1
+    assert capsys.readouterr().err == (f"error: report {out / 'report_all.jsonl'}: "
+                                       "cannot rebuild a report from an empty JSON-lines stream\n")
+
+
 def test_synth_subcommand_writes_metrics(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "2",

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -18,6 +20,7 @@ from termassoc.corpus import (
     default_group_scheme,
     drop_unclassified,
     filter_documents,
+    json_line,
     link_records,
     merge_linked,
     parse_records,
@@ -110,11 +113,40 @@ def test_parse_malformed_records_reported_with_line_numbers():
     ('{"chi2": Infinity}', None, "invalid JSON: Infinity is not a JSON number"),
     ("[1, -Infinity]", None, "invalid JSON: -Infinity is not a JSON number"),
     ("\ufeff{}", None, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (r'"\ud800\ud83d\ude00"', None, r"invalid JSON: unpaired surrogate escape \ud800"),
+    (r'"\ude00"', None, r"invalid JSON: unpaired surrogate escape \ude00"),
+    (r'"\ud83D\uDe00"', "\U0001F600", None),
+    # The text is checked, not the value: the overwritten value's escape still counts.
+    (r'{"a": "\ud800", "a": "x"}', None, r"invalid JSON: unpaired surrogate escape \ud800"),
 ], ids=["pair", "escaped-backslash", "nested", "key", "reversed-pair", "not-utf8-in-a-file", "form-feed",
         "bmp-escapes", "upper-case-pair", "upper-case-lone", "backslash-then-escape", "nan", "infinity",
-        "minus-infinity", "bom"])
+        "minus-infinity", "bom", "lone-then-pair", "lone-low", "mixed-case-pair", "overwritten-duplicate-key"])
 def test_decode_json_values_and_diagnostics(text, value, problem):
     assert corpus.decode_json(text) == (value, problem)
+
+
+def reference_surrogate_problem(text):
+    """The unpaired-surrogate check as a re-encoding: the first lone surrogate in the decoded value."""
+    bad = re.search("[\ud800-\udfff]", json.dumps(json.loads(text), ensure_ascii=False))
+    return None if bad is None else f"invalid JSON: unpaired surrogate escape \\u{ord(bad.group()):04x}"
+
+
+ESCAPE_PARTS = [r"\ud800", r"\uDBFF", r"\ud83d", r"\udc00", r"\uDE00", r"\uDFFF", r"\ud83d\ude00", r"\uD7FF",
+                r"\uE000", r"\u0041", r"\u00e9", r"\\", r'\"', r"\n", r"\/", r"\\u", "ud800", "a", "é", " "]
+JSON_STRING = st.lists(st.sampled_from(ESCAPE_PARTS), max_size=8).map(lambda parts: '"' + "".join(parts) + '"')
+ESCAPED_JSON = st.one_of(
+    st.lists(JSON_STRING, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+    # Keys that decode alike would be repeated keys, whose values the re-encoding never sees.
+    st.lists(st.tuples(JSON_STRING, JSON_STRING), max_size=4, unique_by=lambda kv: json.loads(kv[0]))
+    .map(lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"),
+)
+
+
+@settings(max_examples=500)
+@given(ESCAPED_JSON)
+def test_decode_json_names_the_surrogate_the_re_encoding_finds(text):
+    problem = reference_surrogate_problem(text)
+    assert corpus.decode_json(text) == (None if problem else json.loads(text), problem)
 
 
 def test_iter_json_lines_skips_only_lines_of_json_whitespace():
@@ -297,6 +329,16 @@ def test_merge_linked_combines_fields():
     assert doc.abstract_raw == "Real abstract." and doc.title == "Title"
 
 
+def test_merged_document_takes_the_metadata_text_and_no_cleaned_abstract():
+    record = Document(id="r1", doi="10.1/a", abstract_raw="record text", abstract_clean="record clean",
+                      keywords=("record kw",), unit="5", score=4, submitter="s")
+    metadata = Document(id="m1", doi="10.1/a", title="T", journal="J", abstract_raw="metadata text",
+                        abstract_clean="metadata clean", keywords=("metadata kw",))
+    (doc,) = merge_linked([record], [metadata], link_records([record], [metadata]))
+    assert doc == Document(id="r1", doi="10.1/a", title="T", journal="J", abstract_raw="metadata text",
+                           keywords=("metadata kw",), unit="5", score=4, submitter="s")
+
+
 def test_merged_document_holds_its_metadata_records_keywords():
     (record,) = parse_records(lines({"id": "r1", "doi": "10.1/a", "score": 4, "unit": "5"})).documents
     (metadata,) = parse_records(lines({"id": "m1", "doi": "10.1/a", "keywords": ["k one", "k two"]})).documents
@@ -428,6 +470,31 @@ def test_link_records_memory_does_not_grow_with_unwanted_metadata():
         tracemalloc.stop()
     assert len(result.unmatched) == 1_000
     assert peak < 4_000_000
+
+
+SHORT_TEXT = st.text(max_size=10)
+# A strategy for each Document field; the test fails when a field has none, so a new field is round-tripped too.
+DOCUMENT_FIELDS = {
+    "id": st.text(min_size=1, max_size=10),
+    "doi": st.none() | SHORT_TEXT,
+    "title": SHORT_TEXT,
+    "journal": SHORT_TEXT,
+    "abstract_raw": SHORT_TEXT,
+    "abstract_clean": st.none() | SHORT_TEXT,
+    "keywords": st.lists(SHORT_TEXT, max_size=3).map(tuple),
+    "unit": st.sampled_from(["", "3", "17", "x"]),
+    "panel": st.sampled_from(["", "A", "Z"]),
+    "score": st.none() | st.sampled_from(corpus.VALID_SCORES),
+    "submitter": SHORT_TEXT,
+}
+
+
+@given(st.builds(Document, **DOCUMENT_FIELDS))
+def test_document_record_round_trips_through_a_json_line(doc):
+    assert set(DOCUMENT_FIELDS) == {f.name for f in dataclasses.fields(Document)}
+    parsed = parse_records([json_line(doc.to_record())])
+    assert not parsed.errors
+    assert parsed.documents == [doc]
 
 
 def test_document_takes_no_undeclared_attribute():
