@@ -107,12 +107,9 @@ def _write_json(path: Path, obj):
     corpus.write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _read_documents(path: str, label: str,
+def _read_documents(path: str, what: str,
                     keep_text: Optional[Callable[[corpus.Document], bool]] = None) -> list[corpus.Document]:
-    try:
-        parsed = corpus.read_jsonl(path, keep_text)
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {label} file {path!r}: {exc}") from exc
+    parsed = corpus.read_jsonl(path, keep_text, what)
     for lineno, msg in parsed.errors:
         print(f"warning: {path}:{lineno}: {msg}", file=sys.stderr)
     if parsed.errors:
@@ -139,7 +136,7 @@ def _report_stems(scopes: list[str]) -> dict[str, str]:
 def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Document]]:
     if not cfg.scores or not cfg.metadata:
         raise FileNotFoundError("link needs --scores and --metadata files")
-    score_records = _read_documents(cfg.scores, "scores")
+    score_records = _read_documents(cfg.scores, "scores file")
     # A metadata record under no key that a score record looks up can never be merged: it keeps
     # no text and goes with the parse result, so link_records sees, and keys, only the others.
     by_doi, by_tj = corpus.lookup_index(score_records)
@@ -151,7 +148,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
             return True
         return False
 
-    if not _read_documents(cfg.metadata, "metadata", keep_text):
+    if not _read_documents(cfg.metadata, "metadata file", keep_text):
         print(f"warning: metadata file {cfg.metadata} is empty; everything will be unmatched", file=sys.stderr)
     link = corpus.link_records(score_records, linkable)
     for msg in link.diagnostics:
@@ -187,7 +184,7 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
 
 
 def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Document]:
-    docs = _read_documents(in_path, "corpus")
+    docs = _read_documents(in_path, "corpus file")
     deduped = corpus.dedup_within_unit(docs, scope, cfg.seed)
     corpus.write_jsonl(Path(cfg.output_dir) / "deduped.jsonl", deduped)
     print(f"dedup ({scope}): {len(docs)} -> {len(deduped)} documents")
@@ -195,7 +192,7 @@ def run_dedup(cfg: PipelineConfig, in_path: str, scope: str) -> list[corpus.Docu
 
 
 def run_clean(cfg: PipelineConfig, in_path: str, rules: list[cleanse.CleaningRule]) -> list[corpus.Document]:
-    docs = _read_documents(in_path, "corpus")
+    docs = _read_documents(in_path, "corpus file")
     cleaned = pipeline.clean_documents(docs, rules)
     corpus.write_jsonl(Path(cfg.output_dir) / "cleaned.jsonl", cleaned)
     print(f"cleaned {len(cleaned)} documents with {sum(r.enabled for r in rules)} active rules")
@@ -205,9 +202,10 @@ def run_clean(cfg: PipelineConfig, in_path: str, rules: list[cleanse.CleaningRul
 def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse.CleaningRule],
                 docs: list[corpus.Document]) -> dict:
     if cfg.drop_missing_unit:
-        docs, dropped = corpus.drop_unclassified(docs)
-        if dropped:
-            print(f"dropped {dropped} unclassified document(s) with no unit")
+        kept = [d for d in docs if d.unit]
+        if len(kept) < len(docs):
+            print(f"dropped {len(docs) - len(kept)} unclassified document(s) with no unit")
+        docs = kept
     scopes = pipeline.expand_scopes(docs, cfg.scopes)
     if not scopes:
         raise ValueError("no scopes to analyze")
@@ -240,10 +238,7 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse
     if sims < 1:
         raise ValueError(f"--sims must be >= 1, got {sims}")
     what = f"synthetic spec {spec_path}"
-    try:
-        spec = synth.SyntheticSpec.from_config(corpus.read_json(spec_path, "synthetic spec"), what)
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read synthetic spec {spec_path!r}: {exc}") from exc
+    spec = synth.SyntheticSpec.from_config(corpus.read_json(spec_path, "synthetic spec"), what)
     if cfg.seed_given:
         spec = dataclasses.replace(spec, seed=cfg.seed)
     # What fails from here on is the spec: its groups against the config's, or a simulation's corpus.
@@ -280,7 +275,7 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
 
 
 def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
-    with corpus.open_json(in_path) as fh:
+    with corpus.open_json(in_path, "report") as fh:
         try:
             scope_report = parse_jsonl(fh)
         except ValueError as exc:
@@ -333,7 +328,7 @@ COMMANDS = {
               lambda cfg, args, analysis, rules: run_clean(cfg, args.in_path, rules)),
     "analyze": ("run the statistical analysis per scope", f"{_ANALYSIS_FLAGS} --in --min-abstract-chars",
                 lambda cfg, args, analysis, rules:
-                run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus"))),
+                run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus file"))),
     "report": ("re-render a JSONL report", "--in --format --out-file",
                lambda cfg, args, analysis, rules: run_report(args.in_path, args.format, args.out_file)),
     "synth": ("validate the detector on synthetic corpora",

@@ -3,8 +3,9 @@
 The corpus flows through this module as `Document` objects: score records and
 metadata records are parsed from JSON-lines, linked by DOI and then by a
 normalized title+journal key, merged, deduplicated per analysis scope, and
-finally filtered on score and cleaned-abstract length. Every file the CLI
-writes goes through `write_atomic`, and every CSV text is made by `csv_text`.
+finally filtered on score and cleaned-abstract length. Every input file is
+opened by `open_json`, every file the CLI writes goes through `write_atomic`,
+and every CSV text is made by `csv_text`.
 """
 
 from __future__ import annotations
@@ -198,18 +199,24 @@ def _validate_record(raw) -> Optional[str]:
     return None
 
 
-def read_jsonl(path, keep_text: Optional[Callable[[Document], bool]] = None) -> ParseResult:
-    with open_json(path) as fh:
+def read_jsonl(path, keep_text: Optional[Callable[[Document], bool]] = None,
+               what: str = "JSON-lines file") -> ParseResult:
+    with open_json(path, what) as fh:
         return parse_records(fh, keep_text)
 
 
-def open_json(path):
+def open_json(path, what: str):
     """Open a JSON or JSON-lines file as text in which each byte that is not UTF-8 reads as a lone surrogate.
 
     `decode_json` names such a byte, so one spoils only its own JSON-lines
-    line, and lines end where they do in any text file.
+    line. A line ends at LF alone: CR is JSON white space, so a CR that ends
+    no CRLF stays inside its line. A file that cannot be opened raises its
+    OSError again, of the same type, naming what and path.
     """
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    try:
+        return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
+    except OSError as exc:
+        raise type(exc)(f"cannot read {what} {os.fspath(path)!r}: {exc}") from exc
 
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")   # the surrogates that errors="surrogateescape" reads bytes as
@@ -280,7 +287,7 @@ def iter_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object, Optiona
 
 def read_json(path, what: str):
     """Decode one whole JSON file; malformed text is a ValueError naming what and path."""
-    with open_json(path) as fh:
+    with open_json(path, what) as fh:
         value, problem = decode_json(fh.read())
     if problem:
         raise ValueError(f"{what} {path}: {problem}")
@@ -578,9 +585,3 @@ def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> Fil
         if doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars:
             kept.append(doc)
     return FilterResult(kept)
-
-
-def drop_unclassified(docs: list[Document]) -> tuple[list[Document], int]:
-    """Pre-filter for records with no assessment unit; returns (kept, dropped)."""
-    kept = [d for d in docs if d.unit]
-    return kept, len(docs) - len(kept)

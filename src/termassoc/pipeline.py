@@ -47,11 +47,14 @@ def select_scope(docs: list[Document], scope: str) -> list[Document]:
 
 
 def check_scopes(requested: list[str]):
-    """Reject a scope specifier other than units, panels, all, unit:<x> or panel:<x>."""
+    """Reject an empty list, or a scope specifier other than units, panels, all, unit:<x> or panel:<x>."""
+    forms = "use units, panels, all, unit:<x> or panel:<x>"
+    if not requested:
+        raise ValueError(f"no scope specifiers given; {forms}")
     for item in requested:
         kind, _, value = item.partition(":")
         if item != "all" and item not in _KEYWORDS and not (kind in SCOPE_KINDS and value):
-            raise ValueError(f"unknown scope specifier {item!r}; use units, panels, all, unit:<x> or panel:<x>")
+            raise ValueError(f"unknown scope specifier {item!r}; {forms}")
 
 
 def expand_scopes(docs: list[Document], requested: list[str]) -> list[str]:

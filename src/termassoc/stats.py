@@ -105,29 +105,22 @@ def _upper_continued_fraction(a: float, x: float) -> float:
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(a, x)))
-    return min(1.0, _upper_continued_fraction(a, x))
-
-
 def chi_sq_survival(x: float, df: int) -> float:
     """P(X >= x) for a chi-square variable with df degrees of freedom.
 
-    Equals Q(df/2, x/2); for df = 2 this is exp(-x/2) in closed form.
+    Equals the regularized upper incomplete gamma Q(a, x/2) = Gamma(a, x/2) / Gamma(a)
+    with a = df/2; for df = 2 this is exp(-x/2) in closed form.
     """
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if x < 0:
         raise ValueError(f"statistic must be nonnegative, got {x}")
-    return regularized_gamma_q(df / 2.0, x / 2.0)
+    a, half = df / 2.0, x / 2.0
+    if half == 0.0:
+        return 1.0
+    if half < a + 1.0:
+        return min(1.0, max(0.0, 1.0 - _lower_series(a, half)))
+    return min(1.0, _upper_continued_fraction(a, half))
 
 
 def bonferroni_threshold(alpha: float, m: int, df: int) -> float:

@@ -209,6 +209,39 @@ def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, caps
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
+def link_lf_and_edited(tiny, tmp_path, capsys, edit):
+    """Link the tiny fixture as written and with edit(scores bytes) in its place; the second run's stderr."""
+    scores, metadata = tiny
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "lf")) == 0
+    scores.write_bytes(edit(scores.read_bytes()))
+    capsys.readouterr()
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(tmp_path / "out")) == 0
+    for name in ("merged.jsonl", "link_report.csv", "link_summary.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+    return capsys.readouterr().err
+
+
+def test_bare_cr_inside_a_record_is_json_white_space(tiny, tmp_path, capsys):
+    # Only LF ends a JSON-lines line; a CR that ends no CRLF pads a value like a space.
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        return lines[0].replace(b", ", b",\r ", 1) + b"{\n" + b"".join(lines[1:])
+    scores = tiny[0]
+    err = link_lf_and_edited(tiny, tmp_path, capsys, edit)
+    assert err == (f"warning: {scores}:2: invalid JSON: Expecting property name enclosed in double quotes\n"
+                   f"warning: 1 malformed record(s) skipped in {scores}\n")
+
+
+def test_crlf_file_reads_as_its_lf_twin(tiny, tmp_path, capsys):
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:2]).replace(b"\n", b"\r\n") + b"{\r\n" + lines[2].replace(b"\n", b"\r\n")
+    scores = tiny[0]
+    err = link_lf_and_edited(tiny, tmp_path, capsys, edit)
+    assert err == (f"warning: {scores}:3: invalid JSON: Expecting property name enclosed in double quotes\n"
+                   f"warning: 1 malformed record(s) skipped in {scores}\n")
+
+
 @pytest.mark.parametrize("target", ["scores", "metadata", "corpus"])
 def test_unpaired_surrogate_escape_is_one_malformed_record(tiny, tmp_path, capsys, target):
     # json.loads reads \ud800 as a lone surrogate, which no UTF-8 output file can hold.
@@ -280,8 +313,8 @@ def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, 
     parsed, linked = {}, []
     read_jsonl, link_records = corpus.read_jsonl, corpus.link_records
 
-    def read_spy(path, keep_text=None):
-        parsed[Path(path).name] = result = read_jsonl(path, keep_text)
+    def read_spy(path, keep_text=None, what="JSON-lines file"):
+        parsed[Path(path).name] = result = read_jsonl(path, keep_text, what)
         return result
 
     def link_spy(score_records, meta):
@@ -702,6 +735,37 @@ def test_pipeline_bad_scope_specifier_fails_before_writing(tmp_path, capsys, sco
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+@pytest.mark.parametrize("scopes", ["", ",", "config"], ids=["flag-empty", "flag-comma", "config-empty"])
+def test_empty_scope_list_fails_before_writing(tmp_path, capsys, command, scopes):
+    out = tmp_path / "out"
+    if command == "analyze":
+        argv = ["analyze", "--in", str(FIXTURES / "scores.jsonl")]
+    else:
+        argv = ["pipeline", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl")]
+    if scopes == "config":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scopes": []}))
+        argv += ["--config", str(cfg_path)]
+    else:
+        argv += ["--scopes", scopes]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no scope specifiers given; use units, panels, all, unit:<x> or panel:<x>\n"
+    assert not out.exists()
+
+
+def test_units_over_documents_with_no_unit_is_no_scopes_to_analyze(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(jsonl({"id": "a", "score": 3, "abstract": "x"}, {"id": "b", "score": 4, "abstract": "y"}))
+    out = tmp_path / "out"
+    assert run_cli("analyze", "--in", str(corpus_path), "--scopes", "units", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "dropped 2 unclassified document(s) with no unit" in captured.out
+    assert captured.err == "error: no scopes to analyze\n"
+    assert not out.exists()
+
+
 def run_pipeline_with_units(tiny, out, *units):
     scores, metadata = tiny
     records = [json.loads(line) for line in scores.read_text().splitlines()]
@@ -730,11 +794,33 @@ def test_scopes_that_name_the_same_files_are_an_error(tiny, tmp_path, capsys):
 
 
 def test_missing_input_file_nonzero_exit(tmp_path, capsys):
-    rc = run_cli("link", "--scores", str(tmp_path / "nope.jsonl"),
+    nope = str(tmp_path / "nope.jsonl")
+    rc = run_cli("link", "--scores", nope,
                  "--metadata", str(tmp_path / "also-nope.jsonl"), "--out", str(tmp_path / "o"))
-    assert rc != 0
-    assert "error:" in capsys.readouterr().err
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: cannot read scores file {nope!r}: "
+                                       f"[Errno 2] No such file or directory: {nope!r}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("config", ["analyze", "--config", "{missing}", "--in", "{corpus}"]),
+    ("rule file", ["analyze", "--rules", "{missing}", "--in", "{corpus}"]),
+    ("synthetic spec", ["synth", "--spec", "{missing}", "--sims", "1"]),
+    ("metadata file", ["link", "--scores", "{scores}", "--metadata", "{missing}"]),
+    ("corpus file", ["analyze", "--in", "{missing}"]),
+    ("report", ["report", "--in", "{missing}", "--out-file", "{out}/report.txt"]),
+], ids=["config", "rules", "spec", "metadata", "analyze", "report"])
+def test_unreadable_input_is_named(tmp_path, capsys, what, argv):
+    # The scores file's case is test_missing_input_file_nonzero_exit.
+    missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+    paths = {"missing": missing, "out": out, "corpus": FIXTURES / "scores.jsonl", "scores": FIXTURES / "scores.jsonl"}
+    argv = [arg.format(**paths) for arg in argv]
+    rc = run_cli(*argv, *(["--out", str(out)] if argv[0] != "report" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: cannot read {what} {missing!r}: "
+                                       f"[Errno 2] No such file or directory: {missing!r}\n")
+    assert not out.exists()
 
 
 def test_pipeline_on_bundled_fixtures(tmp_path, capsys):
@@ -768,6 +854,20 @@ def test_pipeline_on_bundled_fixtures(tmp_path, capsys):
     unit16 = (out / "report_unit_16.jsonl").read_text().splitlines()
     assert unit16 and all(json.loads(l)["illustrative"] for l in unit16)
     assert all(not json.loads(l)["significant"] for l in unit16)
+
+
+@pytest.mark.parametrize("drop, all_sizes", [(True, [72, 73, 72]), (False, [72, 74, 72])])
+def test_pipeline_drop_missing_unit(tmp_path, capsys, drop, all_sizes):
+    # The fixture holds one linked record with no unit: it is dropped unless the config keeps it for "all".
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({} if drop else {"drop_missing_unit": False}))
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--config", str(cfg_path), "--scores", str(FIXTURES / "scores.jsonl"),
+                   "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out)) == 0
+    dropped = "dropped 1 unclassified document(s) with no unit\n"
+    assert (dropped in capsys.readouterr().out) == drop
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [scope["n_docs"] for scope in manifest["scopes"] if scope["id"] == "all"] == [all_sizes]
 
 
 def test_pipeline_output_bytes_match_golden_digests(tmp_path, capsys):

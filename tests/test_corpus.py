@@ -18,7 +18,6 @@ from termassoc.corpus import (
     check_json,
     dedup_within_unit,
     default_group_scheme,
-    drop_unclassified,
     filter_documents,
     json_line,
     link_records,
@@ -32,6 +31,15 @@ def lines(*objs):
 
 
 # -------------------------------------------------------------- parse_records
+
+def test_read_jsonl_reads_a_cr_only_file_as_one_line(tmp_path):
+    # Only LF ends a line: a file whose lines end in CR alone is one malformed line.
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes("\r".join(lines({"id": "a"}, {"id": "b"}, {"id": "c"})).encode() + b"\r")
+    parsed = corpus.read_jsonl(path)
+    assert parsed.documents == []
+    assert parsed.errors == [(1, "invalid JSON: Extra data")]
+
 
 def test_parse_round_trip_all_fields():
     rec = {
@@ -650,12 +658,6 @@ def test_filter_idempotent_and_counts():
 def test_filter_counts_unicode_scalars():
     snowman = Document(id="s", unit="1", score=3, abstract_raw="x", abstract_clean="☃" * 500)
     assert filter_documents([snowman], 500).documents
-
-
-def test_drop_unclassified():
-    docs = [Document(id="a", unit="3", score=2), Document(id="b", unit="", score=2)]
-    kept, dropped = drop_unclassified(docs)
-    assert [d.id for d in kept] == ["a"] and dropped == 1
 
 
 # --------------------------------------------------------------- group scheme
