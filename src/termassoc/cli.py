@@ -108,8 +108,8 @@ def _write_json(path: Path, obj):
 
 
 def _read_documents(path: str, what: str,
-                    keep_text: Optional[Callable[[corpus.Document], bool]] = None) -> list[corpus.Document]:
-    parsed = corpus.read_jsonl(path, keep_text, what)
+                    linkable: Optional[Callable[[Optional[str], str], bool]] = None) -> list[corpus.Document]:
+    parsed = corpus.read_jsonl(path, linkable, what)
     for lineno, msg in parsed.errors:
         print(f"warning: {path}:{lineno}: {msg}", file=sys.stderr)
     if parsed.errors:
@@ -137,19 +137,14 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
     if not cfg.scores or not cfg.metadata:
         raise FileNotFoundError("link needs --scores and --metadata files")
     score_records = _read_documents(cfg.scores, "scores file")
-    # A metadata record under no key that a score record looks up can never be merged: it keeps
-    # no text and goes with the parse result, so link_records sees, and keys, only the others.
+    # A metadata record under no key that a score record looks up can never be merged: it is parsed
+    # into its id alone, with no DOI, title or journal, so link_records sees, and keys, only the others.
     by_doi, by_tj = corpus.lookup_index(score_records)
-    linkable = []
-
-    def keep_text(doc: corpus.Document) -> bool:
-        if doc.doi in by_doi or corpus.title_journal_key(doc.title, doc.journal) in by_tj:
-            linkable.append(doc)
-            return True
-        return False
-
-    if not _read_documents(cfg.metadata, "metadata file", keep_text):
+    metadata = _read_documents(cfg.metadata, "metadata file", lambda doi, key: doi in by_doi or key in by_tj)
+    if not metadata:
         print(f"warning: metadata file {cfg.metadata} is empty; everything will be unmatched", file=sys.stderr)
+    linkable = [doc for doc in metadata if doc.doi or doc.title or doc.journal]
+    del metadata
     link = corpus.link_records(score_records, linkable)
     for msg in link.diagnostics:
         print(f"warning: {msg}", file=sys.stderr)

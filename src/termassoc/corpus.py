@@ -57,8 +57,8 @@ def _squash(text: str) -> str:
 
 
 def title_journal_key(title: str, journal: str) -> str:
-    """Linkage key: title then journal, lowercased, all whitespace removed."""
-    return _squash(title) + _squash(journal)
+    """Linkage key: title, then a space and the journal if any, each lowercased with all whitespace removed."""
+    return (_squash(title) + " " + _squash(journal)).rstrip(" ")
 
 
 def panel_for_unit(unit: str) -> str:
@@ -128,7 +128,8 @@ class ParseResult:
 _STR_FIELDS = ("id", "doi", "title", "journal", "abstract", "abstract_clean", "unit", "panel", "submitter")
 
 
-def parse_records(stream: Iterable[str], keep_text: Optional[Callable[[Document], bool]] = None) -> ParseResult:
+def parse_records(stream: Iterable[str],
+                  linkable: Optional[Callable[[Optional[str], str], bool]] = None) -> ParseResult:
     """Parse a JSON-lines record stream into Documents.
 
     Malformed records are collected as (line, diagnostic) pairs and parsing
@@ -138,10 +139,11 @@ def parse_records(stream: Iterable[str], keep_text: Optional[Callable[[Document]
     still link. Records of one stream share one string per distinct journal,
     unit, panel, submitter or keyword.
 
-    keep_text, when given, sees each record's Document before its text is
-    set; a record it rejects keeps every other field but holds no text (no
-    abstract, cleaned abstract or keywords). The record still counts, so
-    the result holds one Document per well-formed line either way.
+    linkable, when given, is asked about each well-formed record with a new
+    id, by its normalized DOI and its title+journal key. A record it rejects
+    is parsed into its id alone, `Document(id)`, which holds no DOI, title or
+    journal. The record still counts, so the result holds one Document per
+    well-formed line either way.
     """
     documents: list[Document] = []
     errors: list[tuple[int, str]] = []
@@ -156,26 +158,19 @@ def parse_records(stream: Iterable[str], keep_text: Optional[Callable[[Document]
             errors.append((lineno, f"duplicate id {raw['id']!r} (first on line {first_line[raw['id']]})"))
             continue
         first_line[raw["id"]] = lineno
-        journal = raw.get("journal") or ""
+        doi, title, journal = normalize_doi(raw.get("doi")), raw.get("title") or "", raw.get("journal") or ""
+        if linkable is not None and not linkable(doi, title_journal_key(title, journal)):
+            documents.append(Document(raw["id"]))
+            continue
         unit = raw.get("unit") or ""
         panel = raw.get("panel") or ""
         submitter = raw.get("submitter") or ""
-        doc = Document(
-            id=raw["id"],
-            doi=raw.get("doi"),
-            title=raw.get("title") or "",
-            journal=share(journal, journal),
-            unit=share(unit, unit),
-            panel=share(panel, panel),
-            score=raw.get("score"),
-            submitter=share(submitter, submitter),
-        )
-        if keep_text is None or keep_text(doc):
-            keywords = raw.get("keywords") or ()
-            doc.abstract_raw = raw.get("abstract") or ""
-            doc.abstract_clean = raw.get("abstract_clean")
-            doc.keywords = tuple(map(share, keywords, keywords))
-        documents.append(doc)
+        keywords = raw.get("keywords") or ()
+        documents.append(Document(
+            id=raw["id"], doi=doi, title=title, journal=share(journal, journal),
+            abstract_raw=raw.get("abstract") or "", abstract_clean=raw.get("abstract_clean"),
+            keywords=tuple(map(share, keywords, keywords)), unit=share(unit, unit), panel=share(panel, panel),
+            score=raw.get("score"), submitter=share(submitter, submitter)))
     return ParseResult(documents, errors)
 
 
@@ -199,10 +194,11 @@ def _validate_record(raw) -> Optional[str]:
     return None
 
 
-def read_jsonl(path, keep_text: Optional[Callable[[Document], bool]] = None,
+def read_jsonl(path, linkable: Optional[Callable[[Optional[str], str], bool]] = None,
                what: str = "JSON-lines file") -> ParseResult:
+    """`parse_records` over the file at path, opened by `open_json`; linkable is passed on."""
     with open_json(path, what) as fh:
-        return parse_records(fh, keep_text)
+        return parse_records(fh, linkable)
 
 
 def open_json(path, what: str):
@@ -234,6 +230,7 @@ def _reject_constant(name: str):
 
 # One decoder for every text: NaN, Infinity and -Infinity are not JSON (RFC 8259 section 6).
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)   # for json_line: json.dumps builds one per call
 
 
 def _invalid_utf8(text: str) -> Optional[str]:
@@ -314,7 +311,7 @@ def write_atomic(path, chunks: Iterable[str]):
 
 def json_line(record: dict) -> str:
     """One corpus record as a JSON-lines line: keys sorted, text kept as UTF-8."""
-    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+    return _ENCODER.encode(record) + "\n"
 
 
 def csv_text(rows: Iterable[list]) -> str:
@@ -447,7 +444,7 @@ def lookup_index(score_records: list[Document]) -> tuple[dict[str, list[str]], d
     Those keys are each record's DOI and its non-empty title+journal key, and
     only they are indexed, so metadata that no record wants costs no memory.
     A metadata record under none of them cannot be linked, so `cli.run_link`
-    keeps no text for it.
+    has `read_jsonl` parse it into its id alone.
     """
     by_doi = {rec.doi: [] for rec in score_records if rec.doi}
     by_tj = {key: [] for rec in score_records if (key := title_journal_key(rec.title, rec.journal))}

@@ -16,6 +16,8 @@ from .corpus import check_json, csv_text, iter_json_lines
 from .stats import TermResult
 from .textproc import iter_ngrams
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False)   # for render_jsonl: json.dumps builds one encoder per call
+
 
 @dataclass
 class ReportRow:
@@ -115,7 +117,7 @@ def render_csv(report: ScopeReport) -> str:
 
 def render_jsonl(report: ScopeReport) -> str:
     head = {"scope": report.scope, "m": report.m, "threshold": report.threshold, "illustrative": report.illustrative}
-    return "".join(json.dumps({**head, **asdict(row)}, ensure_ascii=False) + "\n" for row in report.rows)
+    return "".join(_ENCODER.encode({**head, **asdict(row)}) + "\n" for row in report.rows)
 
 
 @dataclass

@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import termassoc
 from termassoc import cleanse, corpus
@@ -293,7 +297,7 @@ def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     assert [(d["id"], d["keywords"]) for d in merged] == [("r1", [])]
 
 
-def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, monkeypatch, capsys):
+def test_link_parses_metadata_no_score_record_can_match_into_its_id_alone(tmp_path, monkeypatch, capsys):
     scores, metadata = tmp_path / "s.jsonl", tmp_path / "m.jsonl"
     scores.write_text(jsonl(
         {"id": "r1", "doi": "10.1/A", "unit": "1", "score": 4},
@@ -313,8 +317,8 @@ def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, 
     parsed, linked = {}, []
     read_jsonl, link_records = corpus.read_jsonl, corpus.link_records
 
-    def read_spy(path, keep_text=None, what="JSON-lines file"):
-        parsed[Path(path).name] = result = read_jsonl(path, keep_text, what)
+    def read_spy(path, linkable=None, what="JSON-lines file"):
+        parsed[Path(path).name] = result = read_jsonl(path, linkable, what)
         return result
 
     def link_spy(score_records, meta):
@@ -325,13 +329,14 @@ def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, 
     monkeypatch.setattr(corpus, "link_records", link_spy)
     out = tmp_path / "out"
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
-    # Every well-formed line still becomes a record; only those nothing can match lose their text,
+    # Every well-formed line still becomes a record; one that nothing can match is its id alone,
     # and only the others reach the link.
     docs = {doc.id: doc for doc in parsed["m.jsonl"].documents}
-    assert {i: (d.abstract_raw, d.keywords) for i, d in docs.items()} == {
-        "m1": ("Some text.", ("kw",)), "m2": ("Some text.", ("kw",)), "m3": ("", ()),
-        "m4": ("Some text.", ("kw",)), "m5": ("Some text.", ("kw",))}
-    assert (docs["m3"].doi, docs["m3"].title, docs["m3"].journal) == ("10.1/other", "Nobody Wants This", "J")
+    assert list(docs) == ["m1", "m2", "m3", "m4", "m5"]
+    assert docs["m3"] == corpus.Document("m3")
+    assert {i: (d.title, d.abstract_raw, d.keywords) for i, d in docs.items() if i != "m3"} == {
+        "m1": ("By DOI", "Some text.", ("kw",)), "m2": ("matched by key", "Some text.", ("kw",)),
+        "m4": ("Colliding", "Some text.", ("kw",)), "m5": ("Colliding", "Some text.", ("kw",))}
     assert linked == ["m1", "m2", "m4", "m5"]
     err = capsys.readouterr().err
     assert f"warning: {metadata}:6: duplicate id 'm3' (first on line 3)" in err
@@ -341,6 +346,88 @@ def test_link_keeps_metadata_text_only_where_a_score_record_can_match(tmp_path, 
     merged = [json.loads(line) for line in (out / "merged.jsonl").read_text().splitlines()]
     assert [(d["id"], d["abstract"], d["keywords"]) for d in merged] == [
         ("r1", "Some text.", ["kw"]), ("r2", "Some text.", ["kw"])]
+
+
+def test_link_keeps_title_and_journal_apart(tmp_path):
+    # "Cancer" in "Research Letters" and "Cancer Research" in "Letters" are different articles.
+    scores, metadata = tmp_path / "s.jsonl", tmp_path / "m.jsonl"
+    scores.write_text(jsonl({"id": "r1", "title": "Cancer", "journal": "Research Letters", "unit": "1", "score": 4}))
+    metadata.write_text(jsonl({"id": "m1", "title": "Cancer Research", "journal": "Letters", "abstract": "x"}))
+    out = tmp_path / "out"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
+    assert (out / "link_report.csv").read_text().splitlines()[1:] == ["r1,,none,false,"]
+    assert (out / "merged.jsonl").read_text() == ""
+
+
+# Score records of every match kind: by DOI, by key, a key collision, and two unmatched.
+LINK_SCORES = [
+    {"id": "r1", "doi": "10.1/a", "unit": "1", "score": 4},
+    {"id": "r2", "title": "Matched By Key", "journal": "J", "unit": "1", "score": 3},
+    {"id": "r3", "title": "Colliding", "journal": "J", "unit": "2", "score": 2},
+    {"id": "r4", "title": "Cancer", "journal": "Research Letters", "unit": "2", "score": 1},
+    {"id": "r5", "doi": "10.1/e", "title": "Unmatched Title", "journal": "K", "unit": "2", "score": 1},
+]
+LINK_METADATA = [
+    {"id": "m1", "doi": "10.1/A", "title": "By DOI", "journal": "J", "abstract": "One.", "keywords": ["kw"]},
+    {"id": "m2", "title": "matched  by key", "journal": "J", "abstract": "Two."},
+    {"id": "m4", "title": "Colliding", "journal": "J", "abstract": "Four."},
+    {"id": "m5", "title": "Colliding", "journal": "J", "abstract": "Five."},
+]
+
+
+def lookups(rec: dict) -> set:
+    """What a record can be linked under: its DOI and its title+journal pair, each lowercased, spaces removed."""
+    doi, title, journal = ("".join((rec.get(f) or "").lower().split()) for f in ("doi", "title", "journal"))
+    return {("doi", doi) if doi else None, ("tj", title, journal) if title or journal else None} - {None}
+
+
+LINK_WANTED = set().union(*map(lookups, LINK_SCORES))
+
+
+@st.composite
+def near_miss_metadata(draw) -> dict:
+    """A metadata record whose title and journal re-split a score record's words, maybe with one more.
+
+    So near misses such as "Cancer Research" in "Letters" are common.
+    """
+    rec = draw(st.sampled_from(LINK_SCORES))
+    words = f"{rec.get('title', '')} {rec.get('journal', '')}".split()
+    words += draw(st.lists(st.sampled_from(["x", "J", "Letters"]), max_size=1))
+    cut = draw(st.integers(0, len(words)))
+    return {"doi": draw(st.sampled_from([None, "", "10.1/a", "10.1/B", " 10.1/E ", "10.9/x"])),
+            "title": " ".join(words[:cut]), "journal": draw(st.sampled_from([" ", "  "])).join(words[cut:]).upper(),
+            **draw(st.sampled_from([{}, {"abstract": "Extra text.", "keywords": ["kw", "extra"]}]))}
+
+
+@st.composite
+def with_unwanted_metadata(draw) -> list:
+    """LINK_METADATA with records that no score record looks up inserted anywhere."""
+    metadata = list(LINK_METADATA)
+    unwanted = near_miss_metadata().filter(lambda rec: not lookups(rec) & LINK_WANTED)
+    for k, rec in enumerate(draw(st.lists(unwanted, min_size=1, max_size=8))):
+        metadata.insert(draw(st.integers(0, len(metadata))), {"id": f"x{k}", **rec})
+    return metadata
+
+
+def link_outputs(metadata: list) -> dict:
+    """The link subcommand's three files and its stderr, run on LINK_SCORES and metadata."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "s.jsonl").write_text(jsonl(*LINK_SCORES))
+        (d / "m.jsonl").write_text(jsonl(*metadata))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(["link", "--scores", str(d / "s.jsonl"), "--metadata", str(d / "m.jsonl"),
+                         "--out", str(d / "out")]) == 0
+        names = ("link_report.csv", "link_summary.json", "merged.jsonl")
+        return {"stderr": stderr.getvalue().replace(tmp, "<tmp>"),
+                **{name: (d / "out" / name).read_bytes() for name in names}}
+
+
+@settings(max_examples=60)
+@given(with_unwanted_metadata())
+def test_link_outputs_ignore_metadata_no_score_record_looks_up(metadata):
+    assert link_outputs(metadata) == link_outputs(LINK_METADATA)
 
 
 def test_analyze_null_title_and_journal_mean_empty(tmp_path, capsys):

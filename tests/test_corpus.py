@@ -167,51 +167,51 @@ def test_iter_json_lines_skips_only_lines_of_json_whitespace():
                    (first + len(other), {"id": "r1"}, None)]
 
 
-# ------------------------------------------------------------ keep_text
+# ------------------------------------------------------------- linkable
 
 
-def test_parse_record_that_keep_text_rejects_keeps_its_fields_but_no_text():
+def test_parse_record_that_linkable_rejects_is_its_id_alone():
     recs = [
-        {"id": "m1", "doi": " 10.1/A ", "title": "Wanted", "journal": "J", "abstract": "Kept text.",
+        {"id": "m1", "doi": " 10.1/A ", "title": "Wanted", "journal": "The  J", "abstract": "Kept text.",
          "keywords": ["k1"], "unit": "3", "score": 2, "submitter": "s"},
         {"id": "m2", "doi": "10.1/b", "title": "Unwanted", "journal": "J", "abstract": "Dropped text.",
          "abstract_clean": "Dropped.", "keywords": ["k2"], "unit": "3", "score": 4, "submitter": "s"},
+        {"id": "m3", "title": None, "journal": None, "abstract": "No identity."},
     ]
-    seen = []
+    asked = []
 
-    def keep_text(doc):
-        seen.append((doc.id, doc.doi, doc.abstract_raw, doc.keywords))
-        return doc.title == "Wanted"
+    def linkable(doi, key):
+        asked.append((doi, key))
+        return key.startswith("wanted")
 
-    kept, dropped = parse_records(lines(*recs), keep_text).documents
-    # The predicate sees the normalised DOI and no text yet.
-    assert seen == [("m1", "10.1/a", "", ()), ("m2", "10.1/b", "", ())]
-    assert (kept.abstract_raw, kept.keywords) == ("Kept text.", ("k1",))
-    assert (dropped.id, dropped.doi, dropped.title, dropped.journal) == ("m2", "10.1/b", "Unwanted", "J")
-    assert (dropped.unit, dropped.panel, dropped.score, dropped.submitter) == ("3", "A", 4, "s")
-    assert (dropped.abstract_raw, dropped.abstract_clean, dropped.keywords) == ("", None, ())
+    kept, dropped, blank = parse_records(lines(*recs), linkable).documents
+    # Asked by the normalized DOI and the title+journal key, as lookup_index holds them.
+    assert asked == [("10.1/a", "wanted thej"), ("10.1/b", "unwanted j"), (None, "")]
+    assert kept == parse_records(lines(recs[0])).documents[0]
+    assert (kept.abstract_raw, kept.keywords, kept.unit, kept.score) == ("Kept text.", ("k1",), "3", 2)
+    assert dropped == Document("m2") and blank == Document("m3")
     assert dropped.keywords is Document(id="x").keywords
 
 
-def test_parse_keep_text_leaves_diagnostics_and_the_record_count_alone():
+def test_parse_linkable_leaves_diagnostics_and_the_record_count_alone():
     stream = [
-        json.dumps({"id": "m1", "abstract": "one"}),
+        json.dumps({"id": "m1", "doi": "10.1/a", "abstract": "one"}),
         "{not json",
         json.dumps({"id": "m2", "abstract": "two", "keywords": "not a list"}),
-        json.dumps({"id": "m3", "abstract": "three"}),
+        json.dumps({"id": "m3", "title": "Three", "abstract": "three"}),
         json.dumps({"id": "m1", "abstract": "a second record with the first id"}),
     ]
     asked = []
     every = parse_records(stream)
-    none = parse_records(stream, lambda doc: asked.append(doc.id) or False)
+    none = parse_records(stream, lambda doi, key: asked.append((doi, key)) or False)
     assert none.errors == every.errors == [
         (2, "invalid JSON: Expecting property name enclosed in double quotes"),
         (3, "field 'keywords' must be a list of strings"),
         (5, "duplicate id 'm1' (first on line 1)"),
     ]
-    assert asked == ["m1", "m3"]   # never asked about a malformed or repeated line
-    assert [d.id for d in none.documents] == [d.id for d in every.documents] == ["m1", "m3"]
-    assert [d.abstract_raw for d in none.documents] == ["", ""]
+    assert asked == [("10.1/a", ""), (None, "three")]   # never asked about a malformed or repeated line
+    assert [d.id for d in every.documents] == ["m1", "m3"]
+    assert none.documents == [Document("m1"), Document("m3")]
 
 
 def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():
@@ -220,7 +220,7 @@ def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():
                Document(id="r3")]   # no DOI and an empty key: it looks nothing up
     by_doi, by_tj = corpus.lookup_index(records)
     assert by_doi == {"10.1/a": []}
-    assert by_tj == {"atitlej": [], "otherk": []}
+    assert by_tj == {"atitle j": [], "other k": []}
 
 
 def test_parse_doi_normalized():
@@ -431,7 +431,7 @@ def reference_link_records(score_records, metadata):
 
 
 # Records draw from the wanted pools; metadata also from pools no record uses.
-# "A reasonably long title onej" with no journal has the key of
+# "A reasonably long title onej" with no journal must not take the key of
 # "A reasonably long title one" in journal "J", and spacing never counts.
 WANTED_DOIS = [None, "10.1/a", "10.1/b", "10.1/c"]
 WANTED_TITLES = ["", "Short", "A reasonably long title one", "A reasonably long title two"]
@@ -612,6 +612,20 @@ def test_dedup_scope_panel_vs_unit():
     merged = dedup_within_unit(docs, "panel", seed=0)
     assert len(merged) == 1 and merged[0].score in (2, 4)
     assert len(dedup_within_unit(docs, "all", seed=0)) == 1
+
+
+def test_title_journal_key_keeps_title_and_journal_apart():
+    assert corpus.title_journal_key("Cancer", "Research Letters") == "cancer researchletters"
+    assert corpus.title_journal_key("Cancer Research", "Letters") == "cancerresearch letters"
+    assert corpus.title_journal_key("Cancer", "") == "cancer"
+    assert corpus.title_journal_key("", "Cancer") == " cancer"
+    assert corpus.title_journal_key(" ", "\t") == ""
+
+
+def test_dedup_keeps_articles_whose_title_and_journal_only_join_alike():
+    docs = [Document(id="r1", title="Cancer", journal="Research Letters", unit="1", score=2),
+            Document(id="r2", title="Cancer Research", journal="Letters", unit="1", score=4)]
+    assert [(d.id, d.score) for d in dedup_within_unit(docs, "unit", seed=0)] == [("r1", 2), ("r2", 4)]
 
 
 def test_dedup_identity_falls_back_to_title_journal():
