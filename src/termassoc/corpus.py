@@ -438,16 +438,17 @@ class LinkResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def lookup_index(score_records: list[Document]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """(by_doi, by_tj): an empty list for metadata ids under each key that some score record looks up.
+def lookup_index(score_records: list[Document]) -> tuple[dict[str, None], dict[str, None]]:
+    """(by_doi, by_tj): None under each key that some score record looks up.
 
     Those keys are each record's DOI and its non-empty title+journal key, and
-    only they are indexed, so metadata that no record wants costs no memory.
+    only they are indexed, so metadata that no record wants costs no memory;
+    `link_records` makes a key's list of metadata ids at its first id.
     A metadata record under none of them cannot be linked, so `cli.run_link`
     has `read_jsonl` parse it into its id alone.
     """
-    by_doi = {rec.doi: [] for rec in score_records if rec.doi}
-    by_tj = {key: [] for rec in score_records if (key := title_journal_key(rec.title, rec.journal))}
+    by_doi = dict.fromkeys(rec.doi for rec in score_records if rec.doi)
+    by_tj = dict.fromkeys(key for rec in score_records if (key := title_journal_key(rec.title, rec.journal)))
     return by_doi, by_tj
 
 
@@ -466,12 +467,11 @@ def link_records(score_records: list[Document], metadata: list[Document]) -> Lin
     records = sorted(score_records, key=lambda d: d.id)
     by_doi, by_tj = lookup_index(records)
     for doc in metadata:
-        if doc.doi in by_doi:
-            by_doi[doc.doi].append(doc.id)
-        ids = by_tj.get(title_journal_key(doc.title, doc.journal))
-        if ids is not None:
-            ids.append(doc.id)
-    for ids in (*by_doi.values(), *by_tj.values()):
+        for index, key in ((by_doi, doc.doi), (by_tj, title_journal_key(doc.title, doc.journal))):
+            if key in index:
+                index[key] = ids = index[key] or []
+                ids.append(doc.id)
+    for ids in filter(None, (*by_doi.values(), *by_tj.values())):
         ids.sort()
 
     result = LinkResult()
@@ -567,18 +567,19 @@ class FilterResult:
     documents: list[Document]
 
 
+def passes_filters(doc: Document, min_abstract_chars: int) -> bool:
+    """The inclusion rule: a score of 1-4 and a cleaned abstract of at least min_abstract_chars characters."""
+    if doc.abstract_clean is None:
+        raise ValueError(f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering")
+    return doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars
+
+
 def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> FilterResult:
-    """Apply the inclusion filters: drop score-0 articles and short abstracts.
+    """Apply the inclusion filters (`passes_filters`): drop score-0 articles and short abstracts.
 
     Lengths are counted in Unicode characters of abstract_clean; the boundary
     is strict ("shorter than"), so a text of exactly min_abstract_chars stays.
     Cleaning must already have run: a missing abstract_clean raises
     ValueError, as in extract_terms; it is not a removable document.
     """
-    kept = []
-    for doc in docs:
-        if doc.abstract_clean is None:
-            raise ValueError(f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering")
-        if doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars:
-            kept.append(doc)
-    return FilterResult(kept)
+    return FilterResult([doc for doc in docs if passes_filters(doc, min_abstract_chars)])

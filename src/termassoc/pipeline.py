@@ -3,9 +3,9 @@
 Scopes are identified as "unit:<code>", "panel:<letter>" or "all". Every stage
 is deterministic for a fixed seed, and scope outcomes are independent of each
 other; scopes run one at a time and outputs are canonically ordered before
-writing. A run shares one token table and one memo of token units across its
-scopes, so a document's text is tokenized in the first scope that extracts it
-and reused by every later one.
+writing. Right after cleaning, a run tokenizes each text that some scope will
+analyse once, into a memo of token units that its scopes share; the token
+table used for that is dropped before any scope builds its tables.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cleanse import CleaningRule, clean_abstract
-from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents
+from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents, passes_filters
 from .report import ScopeReport, build_scope_report
 from .stats import AnalysisConfig, build_tables, compute_term_results
-from .textproc import UnitMemo, extract_terms
+from .textproc import UnitMemo, extract_terms, prepare_units
 
 
 @dataclass
@@ -86,16 +86,15 @@ def analyze_scope(
     scope: str,
     config: AnalysisConfig,
     min_abstract_chars: int = 500,
-    vocab: Optional[dict[str, str]] = None,
     memo: Optional[UnitMemo] = None,
 ) -> ScopeOutcome:
     """Run the full analysis for one scope's cleaned documents.
 
     Returns an outcome with `skipped` set (and no report) when the scope is
     degenerate: it selects no documents, none survive the filters, or some
-    score group is empty. `vocab` and `memo` are the token table and
-    token-unit memo that `extract_terms` takes; with None the scope gets a
-    table of its own and each `extract_terms` call a fresh memo.
+    score group is empty. `memo` is the token-unit memo that `extract_terms`
+    takes, with None a fresh one per call. A text missing from it is
+    tokenized through a token table of this scope's own.
     """
     subset = select_scope(docs, scope)
     if not subset:
@@ -116,8 +115,8 @@ def analyze_scope(
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
         return ScopeOutcome(skipped=f"empty group(s) {empty}", group_sizes=sizes)
 
-    # A scope given no token table gets its own: its term sets share one string per distinct token.
-    vocab = {} if vocab is None else vocab
+    # Texts the memo misses share one string per distinct token.
+    vocab: dict[str, str] = {}
     term_sets = [extract_terms(doc, config.n_max, vocab, memo) for doc in filtered.documents]
     tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
     results, m, threshold = compute_term_results(tables, sizes, scheme.labels, config.alpha)
@@ -132,13 +131,15 @@ def analyze_scopes(
     rules: list[CleaningRule],
     min_abstract_chars: int = 500,
 ) -> dict[str, ScopeOutcome]:
-    """Clean and tokenize every document once, then per scope select, dedup, filter and count.
+    """Clean every document, tokenize each analysed text once, then per scope select, dedup, filter and count.
 
-    The scopes run one after another and share one token table and one memo
-    of token units: a document is tokenized in the first scope that extracts
-    it, and the later scopes reuse its units.
+    The texts tokenized first are those of the documents that some scope
+    selects and that pass the filters; the scopes then run one after another
+    on that memo. Only a dedup keeper that passes the filters by its group's
+    median score alone can bring a text the memo lacks.
     """
     clean_documents(docs, rules)
-    vocab: dict[str, str] = {}
-    memo: UnitMemo = {}
-    return {scope: analyze_scope(docs, scope, config, min_abstract_chars, vocab, memo) for scope in scopes}
+    wanted = set(scopes)
+    memo = prepare_units(d for d in docs if passes_filters(d, min_abstract_chars)
+                         and not wanted.isdisjoint(("all", f"unit:{d.unit}", f"panel:{d.panel}")))
+    return {scope: analyze_scope(docs, scope, config, min_abstract_chars, memo) for scope in scopes}

@@ -13,21 +13,20 @@ distinct abbreviation length against the set of abbreviations of that
 length. The tests check it against a character-by-character reference
 implementation of the same rule.
 
-`extract_terms` tokenizes each unit by one `findall` and passes every token
-through a `vocab` dict that holds one string per distinct token: the term
-sets of all documents given the same dict share those strings instead of
-each holding its own copies. It keeps each text's token units in a `memo`
-dict under the text itself, so a document met again in a later scope is not
-split or tokenized again. A call given no memo takes a fresh one and so
-always tokenizes, by the same single body. One run shares one token table
-and one memo across its scopes, so each document is tokenized once per run.
+A `memo` dict keeps each text's token units under the text itself. One body
+splits and tokenizes a text missing there, each unit by one `findall`, and
+passes every token through a `vocab` dict that holds one string per distinct
+token: the units of all texts given the same dict share those strings. A run
+tokenizes its texts once, by `prepare_units`, through a table that lives only
+for that call. `extract_terms` runs the body on a miss; a call given no memo
+takes a fresh one and so always tokenizes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .corpus import Document
 
@@ -117,6 +116,27 @@ def iter_ngrams(tokens: Sequence[str], n_max: int) -> Iterator[str]:
             yield gram
 
 
+def _memo_units(doc: Document, memo: UnitMemo, share) -> tuple[tuple[str, ...], ...]:
+    """doc's token units from memo; a text not there is split, tokenized through share and added."""
+    key = (doc.title, doc.abstract_clean, *doc.keywords)
+    units = memo.get(key)
+    if units is None:
+        texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
+        # tokenize(text) for each text, without a Python frame per unit; tuples are exact-size.
+        tokenized = map(_TOKEN_RE.findall, map(str.lower, texts))
+        units = memo[key] = tuple([tuple(map(share, t, t)) for t in tokenized if t])
+    return units
+
+
+def prepare_units(docs: Iterable[Document]) -> UnitMemo:
+    """A memo of the cleaned documents' token units, which share one token table that dies with this call."""
+    memo: UnitMemo = {}
+    share = {}.setdefault
+    for doc in docs:
+        _memo_units(doc, memo, share)
+    return memo
+
+
 def extract_terms(
     doc: Document,
     n_max: int = 5,
@@ -137,13 +157,5 @@ def extract_terms(
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
-    memo = {} if memo is None else memo
-    key = (doc.title, doc.abstract_clean, *doc.keywords)
-    units = memo.get(key)
-    if units is None:
-        share = ({} if vocab is None else vocab).setdefault
-        texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-        # tokenize(text) for each text, without a Python frame per unit; tuples are exact-size.
-        tokenized = map(_TOKEN_RE.findall, map(str.lower, texts))
-        units = memo[key] = tuple([tuple(map(share, t, t)) for t in tokenized if t])
-    return DocTermSet(units, n_max)
+    share = ({} if vocab is None else vocab).setdefault
+    return DocTermSet(_memo_units(doc, {} if memo is None else memo, share), n_max)

@@ -219,8 +219,9 @@ def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():
                Document(id="r2", title="Other", journal=" K "),
                Document(id="r3")]   # no DOI and an empty key: it looks nothing up
     by_doi, by_tj = corpus.lookup_index(records)
-    assert by_doi == {"10.1/a": []}
-    assert by_tj == {"atitle j": [], "other k": []}
+    # No list until link_records files a metadata id under the key.
+    assert by_doi == {"10.1/a": None}
+    assert by_tj == {"atitle j": None, "other k": None}
 
 
 def test_parse_doi_normalized():

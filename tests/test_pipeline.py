@@ -108,20 +108,28 @@ def two_panels_repeating_a_text():
     ]
 
 
-def test_each_text_is_tokenized_once_per_run_but_extracted_once_per_scope(monkeypatch):
-    docs = two_panels_repeating_a_text()
-    split, extracted = [], []
-    real_split, real_extract = textproc.split_sentences, pipeline.extract_terms
+def counting_splits(monkeypatch):
+    """The texts textproc.split_sentences is given from now on, in call order."""
+    split = []
+    real_split = textproc.split_sentences
 
     def counting_split(text, *args):
         split.append(text)
         return real_split(text, *args)
 
+    monkeypatch.setattr(textproc, "split_sentences", counting_split)
+    return split
+
+
+def test_each_text_is_tokenized_once_per_run_but_extracted_once_per_scope(monkeypatch):
+    docs = two_panels_repeating_a_text()
+    split, extracted = counting_splits(monkeypatch), []
+    real_extract = pipeline.extract_terms
+
     def counting_extract(doc, *args):
         extracted.append(doc.id)
         return real_extract(doc, *args)
 
-    monkeypatch.setattr(textproc, "split_sentences", counting_split)
     monkeypatch.setattr(pipeline, "extract_terms", counting_extract)
     scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
     assert scopes == ["unit:1", "unit:2", "panel:A", "panel:B", "all"]
@@ -131,6 +139,65 @@ def test_each_text_is_tokenized_once_per_run_but_extracted_once_per_scope(monkey
     assert Counter(extracted) == {id: 3 for id in ("a1", "a3", "a4", "b1", "b3", "b4")}
     assert Counter(split) == Counter(["Apple red.", "Apple green.", "Apple ripe.", "Pear short.",
                                       "Pear wide. Pear tall."])
+
+
+def test_every_analysed_text_is_tokenized_before_the_first_table_is_built(monkeypatch):
+    docs = two_panels_repeating_a_text()
+    split = counting_splits(monkeypatch)
+    memos, at_first_table = [], []
+    real_analyze_scope, real_build_tables = pipeline.analyze_scope, pipeline.build_tables
+
+    def capturing_analyze_scope(*args):
+        memos.append(args[-1])
+        return real_analyze_scope(*args)
+
+    def first_table_checkpoint(*args):
+        if not at_first_table:
+            at_first_table.append((list(split), set(memos[0])))
+        return real_build_tables(*args)
+
+    monkeypatch.setattr(pipeline, "analyze_scope", capturing_analyze_scope)
+    monkeypatch.setattr(pipeline, "build_tables", first_table_checkpoint)
+    scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
+    outcomes = pipeline.analyze_scopes(docs, scopes, CONFIG, [], 0)
+    assert not any(outcome.skipped for outcome in outcomes.values())
+    assert all(memo is memos[0] for memo in memos)
+    # b0 (score 0) is in no scope's analysis, and b1 repeats a1's text.
+    analysed = [d for d in docs if d.id != "b0"]
+    (splits_then, memo_keys_then), = at_first_table
+    assert memo_keys_then == {(d.title, d.abstract_clean, *d.keywords) for d in analysed}
+    assert Counter(splits_then) == Counter(split) == Counter(d.abstract_clean for d in analysed if d.id != "b1")
+
+
+def test_a_unit_scope_tokenizes_only_its_own_texts(monkeypatch):
+    docs = two_panels_repeating_a_text()
+    docs.append(Document(id="c2", doi="10.1/c2", title="Plum study", abstract_raw="Plum dark.", unit="2",
+                         panel="B", score=2))
+    split = counting_splits(monkeypatch)
+    outcome = pipeline.analyze_scopes(docs, ["unit:1"], CONFIG, [], 0)["unit:1"]
+    assert Counter(split) == Counter(["Apple red.", "Apple green.", "Apple ripe."])
+    assert words(outcome) == {"apple", "study", "red", "green", "ripe", "fruit", "yield"}
+
+
+def test_a_keeper_scored_by_its_group_median_brings_its_own_text(monkeypatch):
+    # c0 is the copy with the smallest id, so it keeps the group; its own score 0 fails the filters,
+    # so the prepare pass skips its text, but the median of 0, 3 and 4 gives it score 3.
+    def doc(id, score, abstract, doi=None):
+        return Document(id=id, doi=doi or f"10.1/{id}", abstract_raw=abstract, unit="1", score=score)
+
+    docs = [doc("a1", 1, "Apple red."), doc("a3", 3, "Apple green."), doc("a4", 4, "Apple ripe."),
+            doc("c0", 0, "Cherry sour.", "10.1/c"), doc("c3", 3, "Cherry sweet.", "10.1/c"),
+            doc("c4", 4, "Cherry sweet.", "10.1/c")]
+    scopes = ["unit:1", "panel:A", "all"]
+    split = counting_splits(monkeypatch)
+    shared = pipeline.analyze_scopes(docs, scopes, CONFIG, [], 0)
+    # The first scope tokenizes the keeper's text on a miss; the later ones find it in the shared memo.
+    assert split.count("Cherry sour.") == 1
+    cleaned = pipeline.clean_documents(docs, [])
+    alone = {scope: pipeline.analyze_scope(cleaned, scope, CONFIG, 0) for scope in scopes}
+    assert {s: outcome_facts(o) for s, o in shared.items()} == {s: outcome_facts(o) for s, o in alone.items()}
+    assert shared["all"].group_sizes == [1, 2, 1]
+    assert words(shared["all"]) == {"apple", "red", "green", "ripe", "cherry", "sour"}
 
 
 def test_a_memo_hit_still_checks_n_max_and_the_cleaned_abstract():
