@@ -1,6 +1,6 @@
 """Command-line front end: staged subcommands over inspectable files.
 
-Subcommands: link, dedup, clean, analyze, report, synth, pipeline. Every
+Subcommands: link, dedup, clean, analyze, synth, pipeline. Every
 stage reads and writes plain files (JSON-lines corpora, CSV/JSONL/text
 reports, a JSON manifest), so intermediate artifacts can be checked by hand.
 Identical inputs, config and seed produce byte-identical outputs whatever the
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, ClassVar, Optional
 
 from . import cleanse, corpus, pipeline, synth
-from .report import FORMATS, emit_report, parse_jsonl
+from .report import FORMATS, emit_report
 from .stats import AnalysisConfig
 
 
@@ -205,8 +205,12 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
     if not scopes:
         raise ValueError("no scopes to analyze")
     stems = _report_stems(scopes)
-    outcomes = pipeline.analyze_scopes(docs, scopes, analysis, rules, cfg.min_abstract_chars)
+    # The output directory holds one run: its manifest goes first and comes back last,
+    # so a run that fails partway leaves none beside a mix of old and new reports.
     out = Path(cfg.output_dir)
+    (out / "manifest.json").unlink(missing_ok=True)
+    outcomes = pipeline.analyze_scopes(docs, scopes, analysis, rules, cfg.min_abstract_chars)
+    written = set()
     manifest_scopes = []
     skipped = []
     for scope in scopes:
@@ -217,11 +221,18 @@ def run_analyze(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[clean
             continue
         report = outcome.report
         for fmt, (ext, _) in FORMATS.items():
-            corpus.write_atomic(out / f"{stems[scope]}.{ext}", [emit_report(report, fmt)])
+            name = f"{stems[scope]}.{ext}"
+            corpus.write_atomic(out / name, [emit_report(report, fmt)])
+            written.add(name)
         manifest_scopes.append({"id": scope, "n_docs": outcome.group_sizes, "m": report.m,
                                 "threshold": report.threshold})
         flag = " (illustrative)" if report.illustrative else ""
         print(f"scope {scope}: {len(report.rows)} term(s), m={report.m}{flag}")
+    # Any report_<...> file of a report format that this run did not write is an earlier run's.
+    extensions = {f".{ext}" for ext, _ in FORMATS.values()}
+    for path in out.glob("report_*"):
+        if path.suffix in extensions and path.name not in written and path.is_file():
+            path.unlink()
     manifest = {"config_hash": cfg.config_hash(rules), "seed": cfg.seed, "scopes": manifest_scopes,
                 "skipped": skipped}
     _write_json(out / "manifest.json", manifest)
@@ -269,20 +280,6 @@ def write_corpus_files(docs: list[corpus.Document], directory: Path):
     corpus.write_atomic(directory / "metadata.jsonl", map(corpus.json_line, metadata))
 
 
-def run_report(in_path: str, fmt: str, out_path: Optional[str]) -> str:
-    with corpus.open_json(in_path, "report") as fh:
-        try:
-            scope_report = parse_jsonl(fh)
-        except ValueError as exc:
-            raise ValueError(f"report {in_path}: {exc}") from None
-    rendered = emit_report(scope_report, fmt)
-    if out_path:
-        corpus.write_atomic(out_path, [rendered])
-    else:
-        sys.stdout.write(rendered)
-    return rendered
-
-
 # Every flag the CLI takes, with its argparse settings.
 FLAGS = {
     "--config": dict(metavar="PATH", help="JSON config file"),
@@ -300,8 +297,6 @@ FLAGS = {
     "--min-abstract-chars": dict(dest="min_abstract_chars", type=int),
     "--in": dict(dest="in_path", required=True, metavar="PATH", help="input JSON-lines file"),
     "--scope": dict(choices=(*corpus.SCOPE_KINDS, "all"), default="unit"),
-    "--format": dict(choices=tuple(FORMATS), default="text"),
-    "--out-file": dict(dest="out_file", metavar="PATH"),
     "--spec": dict(required=True, metavar="PATH", help="synthetic corpus spec JSON"),
     "--sims": dict(type=int, default=20),
     "--corpus-out": dict(dest="corpus_out", metavar="DIR",
@@ -324,8 +319,6 @@ COMMANDS = {
     "analyze": ("run the statistical analysis per scope", f"{_ANALYSIS_FLAGS} --in --min-abstract-chars",
                 lambda cfg, args, analysis, rules:
                 run_analyze(cfg, analysis, rules, _read_documents(args.in_path, "corpus file"))),
-    "report": ("re-render a JSONL report", "--in --format --out-file",
-               lambda cfg, args, analysis, rules: run_report(args.in_path, args.format, args.out_file)),
     "synth": ("validate the detector on synthetic corpora",
               "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out",
               lambda cfg, args, analysis, rules:

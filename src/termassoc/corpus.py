@@ -328,8 +328,8 @@ def write_jsonl(path, docs: Iterable[Document]):
 def _matches_type(value, hint) -> bool:
     """Whether a parsed JSON value fits an annotation; ints pass as floats, bools only as bools.
 
-    A JSON array fits list[X] and tuple[...], an object fits dict[str, X],
-    and a dataclass fits any object (its loader checks the fields).
+    A JSON array fits list[X] and tuple[...], and a dataclass fits any
+    object (its loader checks the fields).
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
@@ -338,8 +338,6 @@ def _matches_type(value, hint) -> bool:
         return isinstance(value, list) and len(value) == len(args) and all(map(_matches_type, value, args))
     if origin in (list, tuple):
         return isinstance(value, list) and all(_matches_type(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_matches_type(v, args[1]) for v in value.values())
     if dataclasses.is_dataclass(hint):
         return isinstance(value, dict)
     if isinstance(value, bool):
@@ -529,12 +527,12 @@ def derive_seed(seed: int, key) -> int:
 def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) -> list[Document]:
     """Collapse multiply-submitted articles within a scope to one Document each.
 
-    Articles are grouped by (identity, scope value) where identity is the DOI
-    when present, else the title+journal key. The surviving document is the
-    copy with the smallest id; its score is the median of the copies' scores.
-    For even copy counts with two distinct middle values, one is chosen
-    uniformly by a generator seeded from (seed, identity), so results are
-    reproducible and independent of input order. Output is sorted by identity.
+    Articles are grouped by (Document.identity, scope value). The surviving
+    document is the copy with the smallest id; its score is the median of the
+    copies' scores. For even copy counts with two distinct middle values, one
+    is chosen uniformly by random.Random(derive_seed(seed, identity)), so
+    results are reproducible and independent of input order. Output is sorted
+    by identity.
 
     scope is one of SCOPE_KINDS, or "all" (dedup across the whole corpus).
     """

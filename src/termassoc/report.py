@@ -9,10 +9,10 @@ reported; otherwise the top-ranked terms are emitted flagged `illustrative`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional
+from dataclasses import asdict, dataclass
+from typing import Optional
 
-from .corpus import check_json, csv_text, iter_json_lines
+from .corpus import csv_text
 from .stats import TermResult
 from .textproc import iter_ngrams
 
@@ -118,42 +118,6 @@ def render_csv(report: ScopeReport) -> str:
 def render_jsonl(report: ScopeReport) -> str:
     head = {"scope": report.scope, "m": report.m, "threshold": report.threshold, "illustrative": report.illustrative}
     return "".join(_ENCODER.encode({**head, **asdict(row)}) + "\n" for row in report.rows)
-
-
-@dataclass
-class _ReportLine(ReportRow):
-    """One JSON-lines report row: a ReportRow plus its scope's fields."""
-
-    scope: str
-    m: int
-    threshold: Optional[float]
-    illustrative: bool
-
-
-def parse_jsonl(lines: Iterable[str]) -> ScopeReport:
-    """Rebuild a ScopeReport from its JSON-lines rendering (needs >= 1 row).
-
-    Every row must carry the first row's scope fields and group labels. A
-    line that `corpus.decode_json` rejects is an error naming it.
-    """
-    rows = []
-    first = None
-    for lineno, raw, problem in iter_json_lines(lines):
-        if problem:
-            raise ValueError(f"line {lineno}: {problem}")
-        obj = check_json(raw, _ReportLine, f"line {lineno}: report row")
-        shared = {key: obj[key] for key in ("scope", "m", "threshold", "illustrative")}
-        shared["group labels"] = list(obj["proportions"])
-        if first is None:
-            first, first_line = shared, lineno
-        for key, value in shared.items():
-            if value != first[key]:
-                raise ValueError(f"line {lineno}: {key} {value!r} differs from line {first_line}'s {first[key]!r}")
-        rows.append(ReportRow(**{f.name: obj[f.name] for f in fields(ReportRow)}))
-    if first is None:
-        raise ValueError("cannot rebuild a report from an empty JSON-lines stream")
-    return ScopeReport(first["scope"], first["m"], first["threshold"], first["group labels"], rows,
-                       first["illustrative"])
 
 
 def render_text(report: ScopeReport) -> str:

@@ -196,6 +196,24 @@ def test_link_line_with_an_overlong_integer_is_one_malformed_record(tiny, tmp_pa
         assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_link_line_with_a_constant_that_is_not_json_is_one_malformed_record(tiny, tmp_path, capsys, constant):
+    # json.loads reads NaN, Infinity and -Infinity, which are not JSON numbers (RFC 8259 section 6).
+    scores, metadata = tiny
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(before)) == 0
+    lines = scores.read_text().splitlines(keepends=True)
+    bad = '{"id": "big", "doi": "10.1/c", "unit": "3", "score": 4, "weight": ' + constant + "}\n"
+    scores.write_text("".join(lines[:2]) + bad + "".join(lines[2:]))
+    capsys.readouterr()
+    assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(after)) == 0
+    err = capsys.readouterr().err
+    assert err == (f"warning: {scores}:3: invalid JSON: {constant} is not a JSON number\n"
+                   f"warning: 1 malformed record(s) skipped in {scores}\n")
+    for name in ("merged.jsonl", "link_report.csv", "link_summary.json"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
+
+
 def test_link_line_that_is_not_utf8_is_one_malformed_record(tiny, tmp_path, capsys):
     # A byte that is not UTF-8 spoils its own line only; the other records still link.
     scores, metadata = tiny
@@ -531,18 +549,6 @@ def test_config_groups_of_wrong_shape_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "group 1" in err
 
 
-def test_report_row_without_scope_is_an_error(tmp_path, capsys):
-    row = {"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": "alpha", "n": 4,
-           "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
-           "proportions": {"low": 0.1, "4": 0.5}}
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(row, {k: v for k, v in row.items() if k != "scope"}))
-    rc = run_cli("report", "--in", str(in_path))
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith(f"error: report {in_path}: line 2: ") and "'scope'" in err
-
-
 def test_synth_spec_missing_required_key_is_an_error(tmp_path, capsys):
     spec = json.loads((FIXTURES / "synth_spec.json").read_text())
     for key in ("vocab_size", "group_sizes"):
@@ -608,15 +614,6 @@ def test_synth_with_no_simulations_writes_nothing(tmp_path, capsys):
     assert not corpus_out.exists() and not out.exists()
 
 
-def test_empty_report_is_named(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text("\n")
-    rc = run_cli("report", "--in", str(in_path))
-    assert rc == 1
-    assert capsys.readouterr().err == (f"error: report {in_path}: "
-                                       "cannot rebuild a report from an empty JSON-lines stream\n")
-
-
 @pytest.mark.parametrize("rule, named", [
     ({"kind": "pattern_delete", "pattern": 5}, "'pattern'"),
     ({"kind": "pattern_delete", "pattern": "zap", "enabled": "false"}, "'enabled'"),
@@ -646,106 +643,6 @@ def test_rule_whose_wrapped_pattern_fails_to_compile_is_an_error(tmp_path, capsy
     assert err.startswith(f"error: rule file {rules}: rule 1: invalid pattern '(?i)copyright.*'")
     assert "Traceback" not in err
     assert not out.exists()
-
-
-REPORT_ROW = {"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": "alpha", "n": 4,
-              "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
-              "proportions": {"low": 0.1, "4": 0.5}}
-
-
-@pytest.mark.parametrize("fmt, edit, named", [
-    ("text", {"proportions": 5}, "'proportions'"),
-    ("text", {"term": None}, "'term'"),
-    ("text", {"direction": 7}, "'direction'"),
-    ("csv", {"chi2": "x"}, "'chi2'"),
-    ("csv", {"significant": "yes"}, "'significant'"),
-    ("csv", {"proportions": {"low": 0.1, "4": "0.5"}}, "'proportions'"),
-    ("csv", {"extra": 1}, "'extra'"),
-    ("text", {"chi2": 10 ** 400}, "'chi2'"),
-])
-def test_report_row_of_wrong_type_is_an_error(tmp_path, capsys, fmt, edit, named):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW, {**REPORT_ROW, "term": "beta", **edit}))
-    rc = run_cli("report", "--in", str(in_path), "--format", fmt)
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith(f"error: report {in_path}: line 2: report row") and named in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("edit, named", [
-    ({"proportions": {"low": 0.1, "x": 0.5}}, "group labels"),
-    ({"proportions": {"4": 0.5, "low": 0.1}}, "group labels"),
-    ({"scope": "unit:3"}, "scope"),
-    ({"m": 4}, "m"),
-    ({"threshold": None}, "threshold"),
-    ({"illustrative": True}, "illustrative"),
-])
-def test_report_rows_of_mixed_scopes_are_an_error(tmp_path, capsys, edit, named):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW, REPORT_ROW, {**REPORT_ROW, "term": "beta", **edit}))
-    rc = run_cli("report", "--in", str(in_path), "--format", "csv")
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith(f"error: report {in_path}: line 3: {named} ") and "line 1" in captured.err
-    assert captured.out == ""
-
-
-def test_report_line_of_invalid_json_names_the_line(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW) + "{\n")
-    rc = run_cli("report", "--in", str(in_path))
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON")
-
-
-def test_report_line_nested_too_deeply_names_the_line(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW) + "[" * 100_000 + "\n")
-    rc = run_cli("report", "--in", str(in_path))
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON: nested too deeply")
-
-
-def test_report_line_with_an_overlong_integer_names_the_line(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW) + '{"m": ' + "9" * 5000 + "}\n")
-    rc = run_cli("report", "--in", str(in_path))
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: report {in_path}: line 2: invalid JSON: Exceeds the limit")
-
-
-def test_report_line_that_is_not_utf8_names_the_line(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_bytes(jsonl(REPORT_ROW).encode() + b'{"scope": "caf\xe9"}\n')
-    rc = run_cli("report", "--in", str(in_path))
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: report {in_path}: line 2: invalid UTF-8: byte 0xe9 at column 15\n"
-
-
-def test_report_line_with_an_unpaired_surrogate_escape_names_the_line(tmp_path, capsys):
-    in_path = tmp_path / "report.jsonl"
-    in_path.write_text(jsonl(REPORT_ROW, {**REPORT_ROW, "term": "beta \ud800"}))
-    out_file = tmp_path / "out" / "report.csv"
-    rc = run_cli("report", "--in", str(in_path), "--format", "csv", "--out-file", str(out_file))
-    assert rc == 1
-    assert capsys.readouterr().err == (f"error: report {in_path}: "
-                                       "line 2: invalid JSON: unpaired surrogate escape \\ud800\n")
-    assert not out_file.parent.exists()
-
-
-@pytest.mark.parametrize("edit, constant", [
-    ({"threshold": float("nan")}, "NaN"),   # it used to parse, then differ even from itself
-    ({"chi2": float("inf"), "p_value": float("nan")}, "Infinity"),   # it used to be written back out
-], ids=["nan-threshold", "infinite-chi2"])
-def test_report_row_with_a_constant_that_is_not_json_names_the_line(tmp_path, capsys, edit, constant):
-    in_path = tmp_path / "a.jsonl"
-    in_path.write_text(json.dumps({**REPORT_ROW, **edit}) + "\n")   # json.dumps writes NaN and Infinity
-    out_file = tmp_path / "out" / "report.jsonl"
-    assert run_cli("report", "--in", str(in_path), "--format", "jsonl", "--out-file", str(out_file)) == 1
-    assert capsys.readouterr().err == (f"error: report {in_path}: "
-                                       f"line 1: invalid JSON: {constant} is not a JSON number\n")
-    assert not out_file.parent.exists()
 
 
 @pytest.mark.parametrize("text", ["{", "[" * 100_000, "[1,]", '["\\ud800"]', '{"alpha": NaN}'],
@@ -896,14 +793,13 @@ def test_missing_input_file_nonzero_exit(tmp_path, capsys):
     ("synthetic spec", ["synth", "--spec", "{missing}", "--sims", "1"]),
     ("metadata file", ["link", "--scores", "{scores}", "--metadata", "{missing}"]),
     ("corpus file", ["analyze", "--in", "{missing}"]),
-    ("report", ["report", "--in", "{missing}", "--out-file", "{out}/report.txt"]),
-], ids=["config", "rules", "spec", "metadata", "analyze", "report"])
+], ids=["config", "rules", "spec", "metadata", "analyze"])
 def test_unreadable_input_is_named(tmp_path, capsys, what, argv):
     # The scores file's case is test_missing_input_file_nonzero_exit.
     missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
-    paths = {"missing": missing, "out": out, "corpus": FIXTURES / "scores.jsonl", "scores": FIXTURES / "scores.jsonl"}
+    paths = {"missing": missing, "corpus": FIXTURES / "scores.jsonl", "scores": FIXTURES / "scores.jsonl"}
     argv = [arg.format(**paths) for arg in argv]
-    rc = run_cli(*argv, *(["--out", str(out)] if argv[0] != "report" else []))
+    rc = run_cli(*argv, "--out", str(out))
     assert rc == 1
     assert capsys.readouterr().err == (f"error: cannot read {what} {missing!r}: "
                                        f"[Errno 2] No such file or directory: {missing!r}\n")
@@ -968,6 +864,65 @@ def test_pipeline_output_bytes_match_golden_digests(tmp_path, capsys):
     assert digests == json.loads((FIXTURES / "golden_digests.json").read_text())
 
 
+def run_fixture_pipeline(out, *flags):
+    return run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
+                   "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out), *flags)
+
+
+def report_files(*stems):
+    return [f"report_{stem}.{ext}" for stem in stems for ext in ("csv", "jsonl", "txt")]
+
+
+def test_a_later_run_into_one_directory_leaves_only_its_own_reports(tmp_path, capsys):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_fixture_pipeline(out, "--scopes", "units,all", "--min-df", "3") == 0
+    assert sorted(p.name for p in out.glob("report_*")) == report_files("all", "unit_16", "unit_3")
+    assert run_fixture_pipeline(out, "--scopes", "all", "--min-df", "3") == 0
+    assert run_fixture_pipeline(fresh, "--scopes", "all", "--min-df", "3") == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["link_report.csv", "link_summary.json", "manifest.json", "merged.jsonl", *report_files("all")]
+    assert {name: (out / name).read_bytes() for name in names} == {name: (fresh / name).read_bytes() for name in names}
+    assert sorted(p.name for p in fresh.iterdir()) == names
+
+
+def test_a_scope_skipped_by_a_later_run_loses_its_old_reports(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_fixture_pipeline(out, "--scopes", "unit:3", "--min-df", "3") == 0
+    assert sorted(p.name for p in out.glob("report_*")) == report_files("unit_3")
+    capsys.readouterr()
+    assert run_fixture_pipeline(out, "--scopes", "unit:3", "--min-df", "3", "--min-abstract-chars", "100000") == 0
+    assert "scope unit:3 skipped: no documents after filtering" in capsys.readouterr().out
+    assert list(out.glob("report_*")) == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scopes"] == []
+    assert manifest["skipped"] == [{"id": "unit:3", "reason": "no documents after filtering"}]
+
+
+def test_a_run_whose_later_report_write_fails_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_fixture_pipeline(out, "--scopes", "units,all", "--min-df", "3") == 0
+    (out / "report_all.txt").unlink()
+    (out / "report_all.txt").mkdir()   # the last report of the run cannot be renamed into place
+    capsys.readouterr()
+    assert run_fixture_pipeline(out, "--scopes", "units,all", "--min-df", "3") == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 21] Is a directory")
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_run_removes_only_report_files_of_its_own_formats(tmp_path, capsys):
+    out = tmp_path / "out"
+    kept = ["notes.txt", "report.txt", "report_x.json", "report_x.txt.tmp", "my_report_x.txt", "Report_x.txt"]
+    out.mkdir()
+    for name in [*kept, "report_x.txt", "report_unit_9.csv"]:
+        (out / name).write_text("mine\n")
+    (out / "report_dir.txt").mkdir()
+    assert run_fixture_pipeline(out, "--scopes", "all", "--min-df", "3") == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*kept, "report_dir.txt", "link_report.csv",
+                                                            "link_summary.json", "manifest.json", "merged.jsonl",
+                                                            *report_files("all")])
+    assert all((out / name).read_text() == "mine\n" for name in kept)
+
+
 def test_stage_subcommands_chain(tmp_path):
     out = tmp_path / "out"
     assert run_cli("link", "--scores", str(FIXTURES / "scores.jsonl"),
@@ -1009,7 +964,6 @@ SUBCOMMAND_FLAGS = {
     "clean": "--config --rules --out --in",
     "analyze": "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out --in "
                "--min-abstract-chars",
-    "report": "--in --format --out-file",
     "synth": "--config --seed --nmax --alpha --min-df --rules --out --spec --sims --corpus-out",
     "pipeline": "--config --seed --scopes --nmax --alpha --top-k --min-df --threads --rules --out --scores "
                 "--metadata --min-abstract-chars",
@@ -1047,9 +1001,9 @@ def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, f
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_has_51_flag_slots_and_25_analysis_flags_fewer():
+def test_cli_has_48_flag_slots_and_25_analysis_flags_fewer():
     assert len(REMOVED_FLAGS) == 25
-    assert sum(len(flags.split()) for flags in SUBCOMMAND_FLAGS.values()) == 51
+    assert sum(len(flags.split()) for flags in SUBCOMMAND_FLAGS.values()) == 48
     assert not any(flag in SUBCOMMAND_FLAGS[command].split() for command, flag in REMOVED_FLAGS)
 
 
@@ -1072,30 +1026,14 @@ def test_readme_documents_commands_and_a_flag_table(capsys):
         {command: help_flags(command, capsys) for command in SUBCOMMAND_FLAGS}
 
 
-def test_report_rerender(tmp_path, capsys):
-    out = tmp_path / "out"
-    run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"),
-            "--metadata", str(FIXTURES / "metadata.jsonl"), "--out", str(out))
-    capsys.readouterr()
-    assert run_cli("report", "--in", str(out / "report_unit_3.jsonl"), "--format", "text") == 0
-    text = capsys.readouterr().out
-    assert text.startswith("# scope=unit:3")
-    rendered = tmp_path / "again.csv"
-    assert run_cli("report", "--in", str(out / "report_unit_3.jsonl"),
-                   "--format", "csv", "--out-file", str(rendered)) == 0
-    assert rendered.read_text() == (out / "report_unit_3.csv").read_text()
-
-
-def test_report_of_a_scope_with_no_tested_terms_cannot_be_rerendered(tmp_path, capsys):
+def test_scope_with_no_tested_terms_writes_reports_without_rows(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("pipeline", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),
                    "--min-df", "100000", "--scopes", "all", "--out", str(out)) == 0
     assert "scope all: 0 term(s), m=0 (illustrative)" in capsys.readouterr().out
     assert (out / "report_all.jsonl").read_text() == ""
     assert (out / "report_all.csv").read_text().count("\n") == 1   # the header alone
-    assert run_cli("report", "--in", str(out / "report_all.jsonl")) == 1
-    assert capsys.readouterr().err == (f"error: report {out / 'report_all.jsonl'}: "
-                                       "cannot rebuild a report from an empty JSON-lines stream\n")
+    assert (out / "report_all.txt").read_text().count("\n") == 2   # the scope line and the column headers
 
 
 def test_synth_subcommand_writes_metrics(tmp_path, capsys):

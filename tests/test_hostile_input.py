@@ -3,9 +3,9 @@
 Each example takes a small valid input set, replaces one node of one input
 (an object, a list, a field or an element, at any depth) with an arbitrary
 JSON value, or half the time with a value of that node's own JSON type, and
-runs the matching command through `cli.main` in-process. For a rule file, a
-synthetic spec or a report, an exit 1 must also name the input: its `error:`
-line holds the file's path or a line number, so a fault that `cli.main`
+runs the matching command through `cli.main` in-process. For a rule file or
+a synthetic spec, an exit 1 must also name the input: its `error:` line
+holds the file's path or a line number, so a fault that `cli.main`
 turns into `error: …` does not pass as a diagnostic. A config value such as
 n_max can also come from a flag, so the config keeps only the exit check.
 """
@@ -49,18 +49,15 @@ CONFIG = {"seed": 1, "alpha": 0.05, "n_max": 2, "min_df": 1, "top_k": 5, "min_ab
 SPEC = {"group_sizes": [3, 3, 3], "vocab_size": 20, "sentences_per_doc": 2, "tokens_per_sentence": 4,
         "planted": [{"tokens": ["zzalpha", "zzbeta"], "probs": [0.1, 0.2, 0.9]}],
         "token_inclusion_prob": 1.0, "seed": 3}
-REPORT = [{"scope": "all", "m": 3, "threshold": 9.2, "illustrative": False, "term": term, "n": 4,
-           "chi2": 10.0, "p_value": 0.01, "significant": True, "direction": "4",
-           "proportions": {"low": 0.1, "3": 0.2, "4": 0.5}} for term in ("alpha beta", "alpha")]
 
 # Each input, as a file name and its valid content; JSON-lines inputs are lists of records.
 INPUTS = {"scores": ("scores.jsonl", SCORES), "metadata": ("metadata.jsonl", METADATA),
           "corpus": ("corpus.jsonl", CORPUS),
           "rules": ("rules.json", RULES), "config": ("config.json", CONFIG),
-          "spec": ("spec.json", SPEC), "report": ("report.jsonl", REPORT)}
+          "spec": ("spec.json", SPEC)}
 
 # The inputs whose every exit-1 diagnostic must name the file or a line.
-NAMED = ("rules", "spec", "report")
+NAMED = ("rules", "spec")
 
 # Strings draw from every code point, lone surrogates (category Cs) often:
 # json.dumps writes one as an escape such as \ud800, which every input must reject.
@@ -109,13 +106,11 @@ def _write(path: Path, content):
         path.write_text(json.dumps(content))
 
 
-def _argv(target: str, d: Path, fmt: str) -> list[str]:
+def _argv(target: str, d: Path) -> list[str]:
     if target == "rules":
         return ["clean", "--in", str(d / "metadata.jsonl"), "--rules", str(d / "rules.json")]
     if target == "spec":
         return ["synth", "--spec", str(d / "spec.json"), "--sims", "1", "--min-df", "1"]
-    if target == "report":
-        return ["report", "--in", str(d / "report.jsonl"), "--format", fmt]
     if target == "corpus":
         return ["analyze", "--in", str(d / "corpus.jsonl"), "--config", str(d / "config.json")]
     # The config names the rules and inputs, so its path fields are fuzzed too.
@@ -139,10 +134,9 @@ def test_any_json_value_anywhere_exits_0_or_1(target, data):
         inputs[target] = _replace(inputs[target], path, value)
         for key, content in inputs.items():
             _write(d / INPUTS[key][0], content)
-        fmt = data.draw(st.sampled_from(["csv", "jsonl", "text"]), label="format")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
-            rc = main(_argv(target, d, fmt) + ["--out", str(d / "out")])
+            rc = main(_argv(target, d) + ["--out", str(d / "out")])
         assert rc in (0, 1)
         if rc == 1 and target in NAMED:
             (error,) = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]

@@ -1,12 +1,14 @@
+import json
 import random
+from dataclasses import fields
 
 import pytest
 
 from termassoc.report import (
+    ReportRow,
     ScopeReport,
     build_scope_report,
     emit_report,
-    parse_jsonl,
     rank_terms,
     render_csv,
     render_jsonl,
@@ -178,25 +180,18 @@ def test_csv_rows():
     assert ",523,19.0625" in lines[1]
 
 
-def test_jsonl_round_trip_exact():
-    report = sample_report()
-    rebuilt = parse_jsonl(render_jsonl(report).splitlines())
-    assert rebuilt == report
-
-
-def test_jsonl_round_trip_after_real_analysis():
+def test_jsonl_lines_hold_the_report_exactly():
     # float fields must survive byte-exactly through JSON
-    rows = [result("t", 26.086956521739133, "3", True, (2, 11, 5))]
+    rows = [result("t", 26.086956521739133, "3", True, (2, 11, 5)), result("u v", 9.5, "low", True, (9, 3, 1))]
     report = build_scope_report(rows, "panel:A", m=7, threshold=8.123456789012345, labels=LABELS)
-    rebuilt = parse_jsonl(render_jsonl(report).splitlines())
-    assert rebuilt.rows[0].chi2 == report.rows[0].chi2
-    assert rebuilt.threshold == report.threshold
-    assert rebuilt == report
-
-
-def test_parse_jsonl_empty_fails():
-    with pytest.raises(ValueError):
-        parse_jsonl([])
+    head = {"scope": "panel:A", "m": 7, "threshold": 8.123456789012345, "illustrative": False}
+    lines = render_jsonl(report).splitlines()
+    assert len(lines) == len(report.rows) == 2
+    for line, row in zip(lines, report.rows):
+        obj = json.loads(line)
+        assert obj == {**head, **{f.name: getattr(row, f.name) for f in fields(ReportRow)}}
+        assert list(obj["proportions"]) == LABELS
+    assert json.loads(lines[0])["chi2"] == 26.086956521739133
 
 
 def test_text_rendering_marks_low_direction():
