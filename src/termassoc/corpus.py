@@ -91,6 +91,7 @@ class Document:
 
     def __post_init__(self):
         self.doi = normalize_doi(self.doi)
+        self.keywords = tuple(self.keywords)
         if self.score is not None and self.score not in VALID_SCORES:
             raise ValueError(f"score must be one of {VALID_SCORES}, got {self.score!r}")
         if not self.panel and self.unit:
@@ -294,8 +295,8 @@ def read_json(path, what: str):
 def write_atomic(path, chunks: Iterable[str]):
     """Stream text chunks into <path>.tmp, then rename it over path.
 
-    The parent directory is made if needed. A write that fails removes the
-    .tmp file, so path holds either its old content or all of the new.
+    The parent directory is made if needed. A write or rename that fails
+    removes the .tmp file, so path holds either its old content or all of the new.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -303,10 +304,10 @@ def write_atomic(path, chunks: Iterable[str]):
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def json_line(record: dict) -> str:
@@ -565,19 +566,18 @@ class FilterResult:
     documents: list[Document]
 
 
-def passes_filters(doc: Document, min_abstract_chars: int) -> bool:
-    """The inclusion rule: a score of 1-4 and a cleaned abstract of at least min_abstract_chars characters."""
-    if doc.abstract_clean is None:
-        raise ValueError(f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering")
-    return doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars
-
-
 def filter_documents(docs: list[Document], min_abstract_chars: int = 500) -> FilterResult:
-    """Apply the inclusion filters (`passes_filters`): drop score-0 articles and short abstracts.
+    """Apply the inclusion filters: keep a score of 1-4 and a cleaned abstract of at least min_abstract_chars.
 
     Lengths are counted in Unicode characters of abstract_clean; the boundary
     is strict ("shorter than"), so a text of exactly min_abstract_chars stays.
     Cleaning must already have run: a missing abstract_clean raises
     ValueError, as in extract_terms; it is not a removable document.
     """
-    return FilterResult([doc for doc in docs if passes_filters(doc, min_abstract_chars)])
+    kept = []
+    for doc in docs:
+        if doc.abstract_clean is None:
+            raise ValueError(f"document {doc.id!r} has no cleaned abstract; run cleaning before filtering")
+        if doc.score not in (None, 0) and len(doc.abstract_clean) >= min_abstract_chars:
+            kept.append(doc)
+    return FilterResult(kept)

@@ -1,20 +1,21 @@
-"""Orchestration: clean and tokenize once, then per scope dedup -> filter -> extract -> stats -> report.
+"""Orchestration: clean, plan every scope (select -> dedup -> filter), tokenize, then extract -> stats -> report.
 
 Scopes are identified as "unit:<code>", "panel:<letter>" or "all". Every stage
 is deterministic for a fixed seed, and scope outcomes are independent of each
 other; scopes run one at a time and outputs are canonically ordered before
-writing. Right after cleaning, a run tokenizes each text that some scope will
-analyse once, into a memo of token units that its scopes share; the token
-table used for that is dropped before any scope builds its tables.
+writing. A run plans every scope before it tokenizes anything, then tokenizes
+the text of each planned keeper once, into a memo of token units that its
+scopes share; the token table used for that is dropped before any scope
+builds its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cleanse import CleaningRule, clean_abstract
-from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents, passes_filters
+from .corpus import SCOPE_KINDS, Document, dedup_within_unit, filter_documents
 from .report import ScopeReport, build_scope_report
 from .stats import AnalysisConfig, build_tables, compute_term_results
 from .textproc import UnitMemo, extract_terms, prepare_units
@@ -81,65 +82,74 @@ def clean_documents(docs: list[Document], rules: list[CleaningRule]) -> list[Doc
     return docs
 
 
-def analyze_scope(
-    docs: list[Document],
-    scope: str,
-    config: AnalysisConfig,
-    min_abstract_chars: int = 500,
-    memo: Optional[UnitMemo] = None,
-) -> ScopeOutcome:
-    """Run the full analysis for one scope's cleaned documents.
+class ScopePlan(NamedTuple):
+    """One scope's keepers, the group index of each (aligned in groups) and the group sizes, or why it is skipped."""
+    scope: str
+    documents: list[Document]
+    groups: bytes    # one byte per keeper, since every scope's plan is held at once
+    group_sizes: list[int]
+    skipped: Optional[str]
 
-    Returns an outcome with `skipped` set (and no report) when the scope is
-    degenerate: it selects no documents, none survive the filters, or some
-    score group is empty. `memo` is the token-unit memo that `extract_terms`
-    takes, with None a fresh one per call. A text missing from it is
-    tokenized through a token table of this scope's own.
+
+def plan_scope(docs: list[Document], scope: str, config: AnalysisConfig, min_abstract_chars: int = 500) -> ScopePlan:
+    """Select one scope's cleaned documents, dedup and filter them, and group the keepers.
+
+    The plan is skipped (and holds no documents) when the scope selects no
+    documents, none survive the filters, or some score group is empty.
     """
     subset = select_scope(docs, scope)
     if not subset:
-        return ScopeOutcome(skipped="no documents in scope")
+        return ScopePlan(scope, [], b"", [], "no documents in scope")
 
     # Every document of a unit: or panel: scope shares that unit or panel, so
     # deduping the subset by identity alone ("all") gives the same groups.
     deduped = dedup_within_unit(subset, "all", config.seed)
     filtered = filter_documents(deduped, min_abstract_chars)
     if not filtered.documents:
-        return ScopeOutcome(skipped="no documents after filtering")
+        return ScopePlan(scope, [], b"", [], "no documents after filtering")
 
     scheme = config.group_scheme
     # Every kept score is 1-4 and a GroupScheme covers exactly those, so each has a group.
-    groups = [scheme.group_index(doc.score) for doc in filtered.documents]
+    groups = bytes([scheme.group_index(doc.score) for doc in filtered.documents])
     sizes = [groups.count(idx) for idx in range(len(scheme.groups))]
     if 0 in sizes:
         empty = [label for label, size in zip(scheme.labels, sizes) if size == 0]
-        return ScopeOutcome(skipped=f"empty group(s) {empty}", group_sizes=sizes)
-
-    # Texts the memo misses share one string per distinct token.
-    vocab: dict[str, str] = {}
-    term_sets = [extract_terms(doc, config.n_max, vocab, memo) for doc in filtered.documents]
-    tables = build_tables(term_sets, groups, len(scheme.groups), config.min_doc_frequency)
-    results, m, threshold = compute_term_results(tables, sizes, scheme.labels, config.alpha)
-    report = build_scope_report(results, scope, m, threshold, scheme.labels, config.top_k)
-    return ScopeOutcome(report, sizes, {r.term: r.direction for r in results if r.significant})
+        return ScopePlan(scope, [], b"", sizes, f"empty group(s) {empty}")
+    return ScopePlan(scope, filtered.documents, groups, sizes, None)
 
 
-def analyze_scopes(
-    docs: list[Document],
-    scopes: list[str],
-    config: AnalysisConfig,
-    rules: list[CleaningRule],
-    min_abstract_chars: int = 500,
-) -> dict[str, ScopeOutcome]:
-    """Clean every document, tokenize each analysed text once, then per scope select, dedup, filter and count.
+def analyze_scope(plan: ScopePlan, config: AnalysisConfig, memo: Optional[UnitMemo] = None) -> ScopeOutcome:
+    """Extract, count, test and report one planned scope; a skipped plan gives a skipped outcome.
 
-    The texts tokenized first are those of the documents that some scope
-    selects and that pass the filters; the scopes then run one after another
-    on that memo. Only a dedup keeper that passes the filters by its group's
-    median score alone can bring a text the memo lacks.
+    `memo` holds the token units of every keeper's text; with None, the
+    keepers are tokenized here into a memo of this call's own.
+    """
+    if plan.skipped:
+        return ScopeOutcome(skipped=plan.skipped, group_sizes=plan.group_sizes)
+    if memo is None:
+        memo = prepare_units(plan.documents)
+    scheme = config.group_scheme
+    term_sets = [extract_terms(doc, config.n_max, memo) for doc in plan.documents]
+    del memo    # a memo made for this scope alone is freed before its tables are built
+    tables = build_tables(term_sets, plan.groups, len(scheme.groups), config.min_doc_frequency)
+    results, m, threshold = compute_term_results(tables, plan.group_sizes, scheme.labels, config.alpha)
+    report = build_scope_report(results, plan.scope, m, threshold, scheme.labels, config.top_k)
+    return ScopeOutcome(report, plan.group_sizes, {r.term: r.direction for r in results if r.significant})
+
+
+def analyze_scopes(docs: list[Document], scopes: list[str], config: AnalysisConfig, rules: list[CleaningRule],
+                   min_abstract_chars: int = 500) -> dict[str, ScopeOutcome]:
+    """Clean every document, plan every scope, tokenize the planned keepers' texts once, then analyse each scope.
+
+    Every scope is deduped and filtered before any text is tokenized, so
+    only the texts some scope analyses are tokenized; the scopes then run
+    one after another on that memo.
     """
     clean_documents(docs, rules)
-    wanted = set(scopes)
-    memo = prepare_units(d for d in docs if passes_filters(d, min_abstract_chars)
-                         and not wanted.isdisjoint(("all", f"unit:{d.unit}", f"panel:{d.panel}")))
-    return {scope: analyze_scope(docs, scope, config, min_abstract_chars, memo) for scope in scopes}
+    plans = [plan_scope(docs, scope, config, min_abstract_chars) for scope in scopes]
+    memo = prepare_units(doc for plan in plans for doc in plan.documents)
+    outcomes = {}
+    while plans:    # popped in scope order, so each plan's lists are freed once its scope is analysed
+        plan = plans.pop(0)
+        outcomes[plan.scope] = analyze_scope(plan, config, memo)
+    return outcomes

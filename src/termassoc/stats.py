@@ -205,7 +205,7 @@ def build_tables(
     occurrences. A term maps to its count tuple, one k_g per group. Terms
     seen in fewer than min_df documents overall are dropped; the size of the
     returned map is the Bonferroni divisor m. The caller owns the group
-    sizes: `pipeline.analyze_scope` counts them and skips a scope with an
+    sizes: `pipeline.plan_scope` counts them and skips a scope with an
     empty group before any table is built.
 
     Terms are counted level by level over segments: token runs whose every

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .cleanse import default_rules
 from .corpus import Document, GroupScheme, check_json, default_group_scheme, derive_seed
-from .pipeline import analyze_scope, clean_documents
+from .pipeline import analyze_scope, clean_documents, plan_scope
 from .stats import AnalysisConfig
 from .textproc import tokenize
 
@@ -216,7 +216,7 @@ def evaluate_detector(
     for sim in range(n_sims):
         sim_spec = replace(spec, seed=derive_seed(spec.seed, sim))
         corpus = clean_documents(generate_corpus(sim_spec, config.group_scheme), rules)
-        outcome = analyze_scope(corpus, "all", config, min_abstract_chars)
+        outcome = analyze_scope(plan_scope(corpus, "all", config, min_abstract_chars), config)
         if outcome.skipped:
             raise RuntimeError(f"simulation {sim} produced a degenerate corpus: {outcome.skipped}")
         m_values.append(outcome.report.m)

@@ -13,19 +13,18 @@ distinct abbreviation length against the set of abbreviations of that
 length. The tests check it against a character-by-character reference
 implementation of the same rule.
 
-A `memo` dict keeps each text's token units under the text itself. One body
-splits and tokenizes a text missing there, each unit by one `findall`, and
-passes every token through a `vocab` dict that holds one string per distinct
-token: the units of all texts given the same dict share those strings. A run
-tokenizes its texts once, by `prepare_units`, through a table that lives only
-for that call. `extract_terms` runs the body on a miss; a call given no memo
-takes a fresh one and so always tokenizes.
+A `memo` dict keeps each text's token units under the text itself.
+`prepare_units`, the one body that splits and tokenizes, tokenizes each unit
+by one `findall`, and the texts of one call share one string per distinct
+token through a table that dies with the call. `extract_terms` looks a
+document's units up in the memo it is given, or prepares that document alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .corpus import Document
@@ -44,8 +43,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 # A candidate sentence boundary: a terminator followed by whitespace.
 _CANDIDATE_RE = re.compile(r"[.!?]\s+")
 
-# Token units keyed by the text they came from: (title, cleaned abstract, *keywords).
-UnitMemo = dict[tuple[str, ...], tuple[tuple[str, ...], ...]]
+# Token units keyed by the text they came from: (title, cleaned abstract, keywords).
+UnitMemo = dict[tuple[str, str, tuple[str, ...]], tuple[tuple[str, ...], ...]]
+_memo_key = attrgetter("title", "abstract_clean", "keywords")
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -116,46 +116,33 @@ def iter_ngrams(tokens: Sequence[str], n_max: int) -> Iterator[str]:
             yield gram
 
 
-def _memo_units(doc: Document, memo: UnitMemo, share) -> tuple[tuple[str, ...], ...]:
-    """doc's token units from memo; a text not there is split, tokenized through share and added."""
-    key = (doc.title, doc.abstract_clean, *doc.keywords)
-    units = memo.get(key)
-    if units is None:
-        texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
-        # tokenize(text) for each text, without a Python frame per unit; tuples are exact-size.
-        tokenized = map(_TOKEN_RE.findall, map(str.lower, texts))
-        units = memo[key] = tuple([tuple(map(share, t, t)) for t in tokenized if t])
-    return units
-
-
 def prepare_units(docs: Iterable[Document]) -> UnitMemo:
     """A memo of the cleaned documents' token units, which share one token table that dies with this call."""
     memo: UnitMemo = {}
     share = {}.setdefault
     for doc in docs:
-        _memo_units(doc, memo, share)
+        key = _memo_key(doc)
+        if key not in memo:
+            texts = [doc.title, *split_sentences(doc.abstract_clean), *doc.keywords]
+            # tokenize(text) for each text, without a Python frame per unit; tuples are exact-size.
+            tokenized = map(_TOKEN_RE.findall, map(str.lower, texts))
+            memo[key] = tuple([tuple(map(share, t, t)) for t in tokenized if t])
     return memo
 
 
-def extract_terms(
-    doc: Document,
-    n_max: int = 5,
-    vocab: Optional[dict[str, str]] = None,
-    memo: Optional[UnitMemo] = None,
-) -> DocTermSet:
+def extract_terms(doc: Document, n_max: int = 5, memo: Optional[UnitMemo] = None) -> DocTermSet:
     """Token units of the title, abstract sentences and keywords; empty units dropped.
 
-    Each token is replaced by the string `vocab` already holds for it, which
-    is added when new. `memo` maps a text, as (title, cleaned abstract,
-    *keywords), to its units: a text found there is not tokenized again, and
-    a new one is added. None stands for a fresh dict in either place, so a
-    call given no memo tokenizes its text. Units depend on nothing else, so
-    documents that share an id but not their text never share units.
-    Units are tuples, so the ones the memo hands out again cannot change.
+    `memo` maps a text, as (title, cleaned abstract, keywords), to its units,
+    and must hold doc's text; None prepares doc alone. Units depend on
+    nothing else, so documents that share an id but not their text never
+    share units. Units are tuples, so the ones a memo hands out again cannot
+    change.
     """
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if doc.abstract_clean is None:
         raise ValueError(f"document {doc.id!r} has no cleaned abstract; clean before extracting")
-    share = ({} if vocab is None else vocab).setdefault
-    return DocTermSet(_memo_units(doc, {} if memo is None else memo, share), n_max)
+    if memo is None:
+        memo = prepare_units([doc])
+    return DocTermSet(memo[_memo_key(doc)], n_max)

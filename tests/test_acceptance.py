@@ -295,10 +295,11 @@ def test_criterion_10_subsumption():
         planted=[PlantedTerm(("here", "we", "show", "that"), (0.02, 0.05, 0.5))],
         seed=10,
     )
-    from termassoc.pipeline import analyze_scope, clean_documents
+    from termassoc.pipeline import analyze_scope, clean_documents, plan_scope
     from termassoc.synth import generate_corpus
 
-    outcome = analyze_scope(clean_documents(generate_corpus(spec), []), "all", AnalysisConfig(), 0)
+    config = AnalysisConfig()
+    outcome = analyze_scope(plan_scope(clean_documents(generate_corpus(spec), []), "all", config, 0), config)
     sig = set(outcome.significant)
     emitted_terms = [r.term for r in outcome.report.rows]
     csv_text = render_csv(outcome.report)

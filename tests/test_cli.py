@@ -907,6 +907,8 @@ def test_a_run_whose_later_report_write_fails_leaves_no_manifest(tmp_path, capsy
     assert run_fixture_pipeline(out, "--scopes", "units,all", "--min-df", "3") == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 21] Is a directory")
     assert not (out / "manifest.json").exists()
+    # The failed rename removes its .tmp file, as a failed write does.
+    assert not (out / "report_all.txt.tmp").exists()
 
 
 def test_a_run_removes_only_report_files_of_its_own_formats(tmp_path, capsys):

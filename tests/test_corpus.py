@@ -76,6 +76,12 @@ def test_parse_keywordless_records_share_one_empty_tuple():
     assert all(d.keywords is Document(id="x").keywords for d in docs)
 
 
+def test_document_holds_keywords_given_as_a_list_as_a_tuple():
+    doc = Document(id="d", keywords=["k one", "k two"])
+    assert doc.keywords == ("k one", "k two")
+    assert dataclasses.replace(doc, score=3).keywords is doc.keywords
+
+
 def test_parse_missing_abstract_warns_and_defaults_empty():
     parsed = parse_records(lines({"id": "r1", "score": 3, "unit": "2"}))
     (doc,) = parsed.documents

@@ -78,7 +78,8 @@ def test_scope_term_sets_share_one_string_per_token(monkeypatch):
         return real_build_tables(term_sets, *args)
 
     monkeypatch.setattr(pipeline, "build_tables", capturing_build_tables)
-    outcome = pipeline.analyze_scope(pipeline.clean_documents(two_units_sharing_an_id(), []), "unit:1", CONFIG, 0)
+    plan = pipeline.plan_scope(pipeline.clean_documents(two_units_sharing_an_id(), []), "unit:1", CONFIG, 0)
+    outcome = pipeline.analyze_scope(plan, CONFIG)
     (term_sets,) = seen
     assert [ts.units for ts in term_sets] == [(("apple", "red"),), (("apple", "green"),), (("apple", "ripe"),)]
     first, second, third = (ts.units[0][0] for ts in term_sets)
@@ -165,7 +166,7 @@ def test_every_analysed_text_is_tokenized_before_the_first_table_is_built(monkey
     # b0 (score 0) is in no scope's analysis, and b1 repeats a1's text.
     analysed = [d for d in docs if d.id != "b0"]
     (splits_then, memo_keys_then), = at_first_table
-    assert memo_keys_then == {(d.title, d.abstract_clean, *d.keywords) for d in analysed}
+    assert memo_keys_then == {(d.title, d.abstract_clean, d.keywords) for d in analysed}
     assert Counter(splits_then) == Counter(split) == Counter(d.abstract_clean for d in analysed if d.id != "b1")
 
 
@@ -180,8 +181,8 @@ def test_a_unit_scope_tokenizes_only_its_own_texts(monkeypatch):
 
 
 def test_a_keeper_scored_by_its_group_median_brings_its_own_text(monkeypatch):
-    # c0 is the copy with the smallest id, so it keeps the group; its own score 0 fails the filters,
-    # so the prepare pass skips its text, but the median of 0, 3 and 4 gives it score 3.
+    # c0 is the copy with the smallest id, so it keeps the group; its own score 0 would fail the filters,
+    # but the median of 0, 3 and 4 gives it score 3. Its collapsed copies' text is analysed by no scope.
     def doc(id, score, abstract, doi=None):
         return Document(id=id, doi=doi or f"10.1/{id}", abstract_raw=abstract, unit="1", score=score)
 
@@ -191,10 +192,11 @@ def test_a_keeper_scored_by_its_group_median_brings_its_own_text(monkeypatch):
     scopes = ["unit:1", "panel:A", "all"]
     split = counting_splits(monkeypatch)
     shared = pipeline.analyze_scopes(docs, scopes, CONFIG, [], 0)
-    # The first scope tokenizes the keeper's text on a miss; the later ones find it in the shared memo.
+    # The prepare pass tokenizes the keeper's text once for every scope, and never the copies' text.
     assert split.count("Cherry sour.") == 1
+    assert "Cherry sweet." not in split
     cleaned = pipeline.clean_documents(docs, [])
-    alone = {scope: pipeline.analyze_scope(cleaned, scope, CONFIG, 0) for scope in scopes}
+    alone = {scope: pipeline.analyze_scope(pipeline.plan_scope(cleaned, scope, CONFIG, 0), CONFIG) for scope in scopes}
     assert {s: outcome_facts(o) for s, o in shared.items()} == {s: outcome_facts(o) for s, o in alone.items()}
     assert shared["all"].group_sizes == [1, 2, 1]
     assert words(shared["all"]) == {"apple", "red", "green", "ripe", "cherry", "sour"}
@@ -203,21 +205,21 @@ def test_a_keeper_scored_by_its_group_median_brings_its_own_text(monkeypatch):
 def test_a_memo_hit_still_checks_n_max_and_the_cleaned_abstract():
     doc = Document(id="d", title="A title", abstract_raw="Some words.", abstract_clean="Some words.",
                    keywords=["key"])
-    memo = {}
-    first = textproc.extract_terms(doc, 2, {}, memo)
-    assert memo == {("A title", "Some words.", "key"): (("a", "title"), ("some", "words"), ("key",))}
-    assert textproc.extract_terms(doc, 2, {}, memo).units is first.units
+    memo = textproc.prepare_units([doc])
+    assert memo == {("A title", "Some words.", ("key",)): (("a", "title"), ("some", "words"), ("key",))}
+    first = textproc.extract_terms(doc, 2, memo)
+    assert textproc.extract_terms(doc, 2, memo).units is first.units
     with pytest.raises(ValueError, match="n_max"):
-        textproc.extract_terms(doc, 9, {}, memo)
+        textproc.extract_terms(doc, 9, memo)
     uncleaned = Document(id="u", title="A title", abstract_raw="Some words.", keywords=["key"])
-    memo[("A title", None, "key")] = first.units
+    memo[("A title", None, ("key",))] = first.units
     with pytest.raises(ValueError, match="no cleaned abstract"):
-        textproc.extract_terms(uncleaned, 2, {}, memo)
+        textproc.extract_terms(uncleaned, 2, memo)
 
 
 def test_clean_documents_keeps_every_field_but_the_clean_abstract():
     values = {"id": "d7", "doi": "10.1/x", "title": "A title", "journal": "A journal",
-              "abstract_raw": "Raw  text here.", "abstract_clean": "stale", "keywords": ["k one"],
+              "abstract_raw": "Raw  text here.", "abstract_clean": "stale", "keywords": ("k one",),
               "unit": "12", "panel": "C", "score": 3, "submitter": "uni-y"}
     # Every declared field is set to a value of its own, so a field cleaning drops or moves shows.
     assert set(values) == {f.name for f in dataclasses.fields(Document)}
@@ -259,7 +261,8 @@ def scope_inputs(draw):
 
 def scope_facts(docs, scope):
     config = AnalysisConfig(n_max=3, min_doc_frequency=2)
-    outcome = pipeline.analyze_scope(pipeline.clean_documents(docs, []), scope, config, MIN_ABSTRACT_CHARS)
+    plan = pipeline.plan_scope(pipeline.clean_documents(docs, []), scope, config, MIN_ABSTRACT_CHARS)
+    outcome = pipeline.analyze_scope(plan, config)
     reports = [emit_report(outcome.report, fmt) for fmt in ("csv", "jsonl", "text")]
     return reports, outcome.group_sizes, outcome.report.m, outcome.report.threshold
 
@@ -280,7 +283,7 @@ def test_scopes_expand_to_and_select_the_distinct_non_empty_units_and_panels(fie
 
 @given(scope_inputs())
 def test_scope_dedup_by_identity_equals_dedup_by_scope_kind(inputs):
-    # analyze_scope dedups a unit: or panel: scope by identity alone.
+    # plan_scope dedups a unit: or panel: scope by identity alone.
     docs, shuffled = inputs
     for scope in ("unit:1", "unit:2", "panel:A"):
         kind = scope.partition(":")[0]
@@ -335,6 +338,57 @@ def test_shared_memo_gives_the_outcomes_of_scopes_analysed_alone(docs):
     scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
     shared = pipeline.analyze_scopes(docs, scopes, config, [], MIN_ABSTRACT_CHARS)
     cleaned = pipeline.clean_documents(docs, [])
-    alone = {scope: pipeline.analyze_scope(cleaned, scope, config, MIN_ABSTRACT_CHARS) for scope in scopes}
+    alone = {scope: pipeline.analyze_scope(pipeline.plan_scope(cleaned, scope, config, MIN_ABSTRACT_CHARS), config)
+             for scope in scopes}
     assert list(shared) == scopes
     assert {s: outcome_facts(o) for s, o in shared.items()} == {s: outcome_facts(o) for s, o in alone.items()}
+
+
+@st.composite
+def planned_corpora(draw):
+    """Two or three units over panels A and B, whose articles repeat within and across units.
+
+    Articles are identified by DOI. Each copy draws its unit, grade (0
+    included), id and text from small pools, so DOI duplicates within and
+    across units, even-count ties, short abstracts and documents that share
+    an id but not their text are common. One article always ties evenly, and
+    in another the smallest-id copy has grade 0 and a text of its own, which
+    its two graded copies' median rescues.
+    """
+    units = draw(st.sampled_from([("1", "7"), ("1", "2", "7"), ("1", "7", "8")]))
+    long = " Delta gamma beta alpha."
+    # Unit 1, and sometimes the last unit, hold one document per score group; every other unit holds one.
+    anchored = (units[0], units[-1]) if draw(st.booleans()) else (units[0],)
+    docs = [Document(id=f"anchor{unit}-{score}", doi=f"10.9/anchor{unit}-{score}",
+                     abstract_raw=draw(ABSTRACT) + long, unit=unit, score=score)
+            for unit in anchored for score in (1, 3, 4)]
+    docs += [Document(id=f"u{unit}", doi=f"10.9/unit{unit}", abstract_raw=draw(ABSTRACT), unit=unit,
+                      score=draw(st.integers(0, 4))) for unit in units[1:]]
+    rescued_unit = draw(st.sampled_from(units))
+    docs.append(Document(id="a0", doi="10.1/rescued", abstract_raw="Cherry sour." + long, unit=rescued_unit, score=0))
+    docs += [Document(id=f"z{k}", doi="10.1/rescued", abstract_raw="Cherry sweet." + long, unit=rescued_unit,
+                      score=draw(st.integers(1, 4))) for k in (1, 2)]
+    tie_unit = draw(st.sampled_from(units))
+    docs += [Document(id=f"t{score}", doi="10.1/tie", abstract_raw=draw(ABSTRACT) + long, unit=tie_unit, score=score)
+             for score in draw(st.sampled_from([(1, 2), (3, 4), (1, 4), (2, 3)]))]
+    for _ in range(draw(st.integers(0, 14))):
+        docs.append(Document(id=draw(st.sampled_from(["a1", "x", "y"])), doi=f"10.1/art{draw(st.integers(0, 4))}",
+                             abstract_raw=draw(ABSTRACT), unit=draw(st.sampled_from(units)),
+                             score=draw(st.integers(0, 4))))
+    return draw(st.permutations(docs))
+
+
+@given(planned_corpora())
+def test_planned_run_equals_each_scope_planned_and_analysed_alone(docs):
+    config = AnalysisConfig(n_max=3, min_doc_frequency=2)
+    scopes = pipeline.expand_scopes(docs, ["units", "panels", "all"])
+    assert "panel:A" in scopes and "panel:B" in scopes
+    with pytest.MonkeyPatch.context() as patch:
+        split = counting_splits(patch)
+        shared = pipeline.analyze_scopes(docs, scopes, config, [], MIN_ABSTRACT_CHARS)
+    plans = [pipeline.plan_scope(docs, scope, config, MIN_ABSTRACT_CHARS) for scope in scopes]
+    alone = {plan.scope: pipeline.analyze_scope(plan, config) for plan in plans}
+    assert list(shared) == scopes
+    assert {s: outcome_facts(o) for s, o in shared.items()} == {s: outcome_facts(o) for s, o in alone.items()}
+    # The run splits the text of every planned keeper, and no other text.
+    assert set(split) == {doc.abstract_clean for plan in plans for doc in plan.documents}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from termassoc.corpus import Document, default_group_scheme
-from termassoc.pipeline import analyze_scope, clean_documents
+from termassoc.pipeline import analyze_scope, clean_documents, plan_scope
 from termassoc.stats import AnalysisConfig
 from termassoc.synth import (
     PlantedTerm,
@@ -291,10 +291,10 @@ def test_detector_invariant_to_document_shuffling():
     )
     docs = clean_documents(generate_corpus(spec), [])
     cfg = detector_config()
-    base = analyze_scope(docs, "all", cfg, min_abstract_chars=0)
+    base = analyze_scope(plan_scope(docs, "all", cfg, min_abstract_chars=0), cfg)
     base_sig = base.significant
     shuffled = docs[:]
     random.Random(99).shuffle(shuffled)
-    again = analyze_scope(shuffled, "all", cfg, min_abstract_chars=0)
+    again = analyze_scope(plan_scope(shuffled, "all", cfg, min_abstract_chars=0), cfg)
     assert again.significant == base_sig
     assert again.report.m == base.report.m and again.report.threshold == base.report.threshold

@@ -11,6 +11,7 @@ from termassoc.textproc import (
     DEFAULT_ABBREVIATIONS,
     extract_terms,
     iter_ngrams,
+    prepare_units,
     split_sentences,
     tokenize,
 )
@@ -181,7 +182,7 @@ def test_ngram_small_example():
 # --------------------------------------------------------------- extract_terms
 
 def make_doc(abstract, title="", keywords=(), id="d1"):
-    return Document(id=id, title=title, abstract_raw="raw", abstract_clean=abstract, keywords=list(keywords))
+    return Document(id=id, title=title, abstract_raw="raw", abstract_clean=abstract, keywords=keywords)
 
 
 def test_extract_includes_long_phrase_and_subphrases():
@@ -232,27 +233,26 @@ def test_extract_nmax_bounds_and_missing_clean():
         extract_terms(raw_only, 5)
 
 
-def test_extract_shares_one_string_per_token_through_vocab():
-    vocab = {}
-    first = extract_terms(make_doc("Shared words here."), 2, vocab)
-    second = extract_terms(make_doc("Other shared words."), 2, vocab)
+def test_prepare_units_shares_one_string_per_token():
+    first_doc, second_doc = make_doc("Shared words here."), make_doc("Other shared words.", id="d2")
+    memo = prepare_units([first_doc, second_doc])
+    first, second = extract_terms(first_doc, 2, memo), extract_terms(second_doc, 2, memo)
     assert first.units == (("shared", "words", "here"),)
     assert second.units == (("other", "shared", "words"),)
     assert first.units[0][0] is second.units[0][1]
     assert first.units[0][1] is second.units[0][2]
-    assert vocab == {token: token for token in ("shared", "words", "here", "other")}
-    # Without a table each call keeps its own strings, with the same terms.
+    # Without a memo each call prepares its document alone, with the same terms.
     assert extract_terms(make_doc("Shared words here."), 2).terms == first.terms
 
 
 def test_a_memo_hit_returns_the_same_tuple_of_tuples():
     doc = make_doc("Shared words here. More words.")
-    memo = {}
-    first = extract_terms(doc, 2, {}, memo)
-    again = extract_terms(doc, 3, {}, memo)
+    memo = prepare_units([doc, doc])
+    first = extract_terms(doc, 2, memo)
+    again = extract_terms(doc, 3, memo)
     assert type(first.units) is tuple and all(type(unit) is tuple for unit in first.units)
     assert again.units is first.units
-    assert list(memo.values()) == [first.units]
+    assert memo == {("", "Shared words here. More words.", ()): first.units}
 
 
 def test_doc_term_set_takes_no_other_attribute():
