@@ -108,7 +108,7 @@ def _write_json(path: Path, obj):
 
 
 def _read_documents(path: str, what: str,
-                    linkable: Optional[Callable[[Optional[str], str], bool]] = None) -> list[corpus.Document]:
+                    linkable: Optional[Callable[[Optional[str], str], bool]] = None) -> list[Optional[corpus.Document]]:
     parsed = corpus.read_jsonl(path, linkable, what)
     for lineno, msg in parsed.errors:
         print(f"warning: {path}:{lineno}: {msg}", file=sys.stderr)
@@ -138,12 +138,13 @@ def run_link(cfg: PipelineConfig) -> tuple[corpus.LinkResult, list[corpus.Docume
         raise FileNotFoundError("link needs --scores and --metadata files")
     score_records = _read_documents(cfg.scores, "scores file")
     # A metadata record under no key that a score record looks up can never be merged: it is parsed
-    # into its id alone, with no DOI, title or journal, so link_records sees, and keys, only the others.
+    # as None, so link_records, which builds its own index, sees and keys only the others.
     by_doi, by_tj = corpus.lookup_index(score_records)
     metadata = _read_documents(cfg.metadata, "metadata file", lambda doi, key: doi in by_doi or key in by_tj)
+    del by_doi, by_tj
     if not metadata:
         print(f"warning: metadata file {cfg.metadata} is empty; everything will be unmatched", file=sys.stderr)
-    linkable = [doc for doc in metadata if doc.doi or doc.title or doc.journal]
+    linkable = [doc for doc in metadata if doc is not None]
     del metadata
     link = corpus.link_records(score_records, linkable)
     for msg in link.diagnostics:
@@ -254,6 +255,7 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse
             docs = synth.generate_corpus(spec, analysis.group_scheme)
             write_corpus_files(docs, corpus_dir)
             print(f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}")
+            del docs    # each simulation generates its own corpus
         metrics = synth.evaluate_detector(spec, analysis, sims, rules)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{what}: {exc}") from None
@@ -264,20 +266,22 @@ def run_synth(cfg: PipelineConfig, analysis: AnalysisConfig, rules: list[cleanse
 
 
 def write_corpus_files(docs: list[corpus.Document], directory: Path):
-    """Split full documents into the scores-file and metadata-file shapes.
+    """Split full documents into the scores-file and metadata-file shapes, writing each file record by record.
 
     A scores record is the document's record without its text; a metadata
     record is its identity fields and text under the id "m-<id>".
     """
-    scores, metadata = [], []
-    for d in docs:
+    def scores_line(d: corpus.Document) -> str:
         rec = d.to_record()
-        text = {key: rec.pop(key) for key in ("abstract", "keywords")}
-        meta = {"id": "m-" + d.id, "doi": rec["doi"], "title": rec["title"], "journal": rec["journal"], **text}
-        scores.append(rec)
-        metadata.append(meta)
-    corpus.write_atomic(directory / "scores.jsonl", map(corpus.json_line, scores))
-    corpus.write_atomic(directory / "metadata.jsonl", map(corpus.json_line, metadata))
+        del rec["abstract"], rec["keywords"]
+        return corpus.json_line(rec)
+
+    def metadata_line(d: corpus.Document) -> str:
+        return corpus.json_line({"id": "m-" + d.id, "doi": d.doi, "title": d.title, "journal": d.journal,
+                                 "abstract": d.abstract_raw, "keywords": d.keywords})
+
+    corpus.write_atomic(directory / "scores.jsonl", map(scores_line, docs))
+    corpus.write_atomic(directory / "metadata.jsonl", map(metadata_line, docs))
 
 
 # Every flag the CLI takes, with its argparse settings.

@@ -120,9 +120,12 @@ _field_values = operator.attrgetter(*_FIELD_NAMES)
 
 @dataclass
 class ParseResult:
-    """The parsed Documents and the malformed lines."""
+    """One entry per well-formed line, its Document or None, and the malformed lines.
 
-    documents: list[Document]
+    An entry is None only for a record that `parse_records`' linkable rejected.
+    """
+
+    documents: list[Optional[Document]]
     errors: list[tuple[int, str]]   # (1-based line number, diagnostic)
 
 
@@ -142,11 +145,10 @@ def parse_records(stream: Iterable[str],
 
     linkable, when given, is asked about each well-formed record with a new
     id, by its normalized DOI and its title+journal key. A record it rejects
-    is parsed into its id alone, `Document(id)`, which holds no DOI, title or
-    journal. The record still counts, so the result holds one Document per
-    well-formed line either way.
+    is held as None, with no object of its own. The record still counts, so
+    the result holds one entry per well-formed line either way.
     """
-    documents: list[Document] = []
+    documents: list[Optional[Document]] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}   # id -> line it first appeared on
     share = {}.setdefault   # these field values repeat across records: keep one string each
@@ -161,7 +163,7 @@ def parse_records(stream: Iterable[str],
         first_line[raw["id"]] = lineno
         doi, title, journal = normalize_doi(raw.get("doi")), raw.get("title") or "", raw.get("journal") or ""
         if linkable is not None and not linkable(doi, title_journal_key(title, journal)):
-            documents.append(Document(raw["id"]))
+            documents.append(None)
             continue
         unit = raw.get("unit") or ""
         panel = raw.get("panel") or ""
@@ -444,7 +446,7 @@ def lookup_index(score_records: list[Document]) -> tuple[dict[str, None], dict[s
     only they are indexed, so metadata that no record wants costs no memory;
     `link_records` makes a key's list of metadata ids at its first id.
     A metadata record under none of them cannot be linked, so `cli.run_link`
-    has `read_jsonl` parse it into its id alone.
+    has `read_jsonl` hold it as None.
     """
     by_doi = dict.fromkeys(rec.doi for rec in score_records if rec.doi)
     by_tj = dict.fromkeys(key for rec in score_records if (key := title_journal_key(rec.title, rec.journal)))
@@ -540,22 +542,33 @@ def dedup_within_unit(docs: list[Document], scope: str = "unit", seed: int = 0) 
     if scope not in (*SCOPE_KINDS, "all"):
         raise ValueError(f"scope must be unit, panel or all, got {scope!r}")
 
-    groups: dict[tuple[str, str], list[Document]] = {}
+    # Keyed by identity for "all", else by (identity, scope value). An article seen once is
+    # held as its Document; a list is made only once its key repeats.
+    groups: dict[Union[str, tuple[str, str]], Union[Document, list[Document]]] = {}
     for doc in docs:
-        groups.setdefault((doc.identity, "" if scope == "all" else getattr(doc, scope)), []).append(doc)
+        key = doc.identity if scope == "all" else (doc.identity, getattr(doc, scope))
+        seen = groups.get(key)
+        if seen is None:
+            groups[key] = doc
+        elif isinstance(seen, list):
+            seen.append(doc)
+        else:
+            groups[key] = [seen, doc]
 
     out = []
-    for (identity, _sv), copies in sorted(groups.items()):
-        keeper = min(copies, key=lambda d: d.id)
-        if len(copies) == 1:
-            out.append(keeper)
+    for key in sorted(groups):
+        copies = groups[key]
+        if not isinstance(copies, list):
+            out.append(copies)
             continue
+        keeper = min(copies, key=lambda d: d.id)
         scores = sorted(d.score for d in copies if d.score is not None)
         if not scores:
             out.append(keeper)
             continue
         n = len(scores)
         lo, hi = scores[(n - 1) // 2], scores[n // 2]
+        identity = key if scope == "all" else key[0]
         score = lo if lo == hi else random.Random(derive_seed(seed, identity)).choice((lo, hi))
         out.append(keeper if score == keeper.score else dataclasses.replace(keeper, score=score))
     return out

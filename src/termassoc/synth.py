@@ -197,7 +197,8 @@ def evaluate_detector(
     fraction of simulations with at least one significant term made purely of
     background tokens (sub-phrases of a planted term share its tokens and are
     genuine detections, not false positives). Each simulation derives its own
-    sub-seed from (spec seed, simulation index).
+    sub-seed from (spec seed, simulation index), and its corpus and outcome
+    are freed before the next corpus is generated.
 
     Synthetic corpora control their own document shape, so the abstract length
     filter defaults to 0 here.
@@ -209,22 +210,30 @@ def evaluate_detector(
     effect_terms = [t.rendered for t in spec.planted if t.has_effect]
     planted_tokens = {tok for t in spec.planted for tok in t.tokens}
 
-    recall_per_sim: list[Optional[float]] = []
-    fp_sims = 0
-    m_values = []
-    thresholds = []
-    for sim in range(n_sims):
+    def simulate(sim: int) -> tuple[int, Optional[float], Optional[float], bool]:
+        """(m, threshold, recall, any false positive) of one simulation; its corpus and outcome die here."""
         sim_spec = replace(spec, seed=derive_seed(spec.seed, sim))
         corpus = clean_documents(generate_corpus(sim_spec, config.group_scheme), rules)
         outcome = analyze_scope(plan_scope(corpus, "all", config, min_abstract_chars), config)
         if outcome.skipped:
             raise RuntimeError(f"simulation {sim} produced a degenerate corpus: {outcome.skipped}")
-        m_values.append(outcome.report.m)
-        if outcome.report.threshold is not None:
-            thresholds.append(outcome.report.threshold)
         hits = sum(t in outcome.significant for t in effect_terms)
-        recall_per_sim.append(hits / len(effect_terms) if effect_terms else None)
-        fp_sims += any(all(tok not in planted_tokens for tok in term.split(" ")) for term in outcome.significant)
+        false_positive = any(all(tok not in planted_tokens for tok in term.split(" "))
+                             for term in outcome.significant)
+        recall = hits / len(effect_terms) if effect_terms else None
+        return outcome.report.m, outcome.report.threshold, recall, false_positive
+
+    recall_per_sim: list[Optional[float]] = []
+    fp_sims = 0
+    m_values = []
+    thresholds = []
+    for sim in range(n_sims):
+        m, threshold, recall, false_positive = simulate(sim)
+        m_values.append(m)
+        if threshold is not None:
+            thresholds.append(threshold)
+        recall_per_sim.append(recall)
+        fp_sims += false_positive
 
     observed = [r for r in recall_per_sim if r is not None]
     return DetectorMetrics(

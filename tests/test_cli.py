@@ -9,13 +9,14 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import termassoc
-from termassoc import cleanse, corpus
+from termassoc import cleanse, corpus, synth
 from termassoc.cli import PipelineConfig, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -315,7 +316,7 @@ def test_link_null_keywords_mean_no_keywords(tmp_path, capsys):
     assert [(d["id"], d["keywords"]) for d in merged] == [("r1", [])]
 
 
-def test_link_parses_metadata_no_score_record_can_match_into_its_id_alone(tmp_path, monkeypatch, capsys):
+def test_link_parses_metadata_no_score_record_can_match_as_none(tmp_path, monkeypatch, capsys):
     scores, metadata = tmp_path / "s.jsonl", tmp_path / "m.jsonl"
     scores.write_text(jsonl(
         {"id": "r1", "doi": "10.1/A", "unit": "1", "score": 4},
@@ -347,12 +348,12 @@ def test_link_parses_metadata_no_score_record_can_match_into_its_id_alone(tmp_pa
     monkeypatch.setattr(corpus, "link_records", link_spy)
     out = tmp_path / "out"
     assert run_cli("link", "--scores", str(scores), "--metadata", str(metadata), "--out", str(out)) == 0
-    # Every well-formed line still becomes a record; one that nothing can match is its id alone,
+    # Every well-formed line still has an entry; one that nothing can match is None,
     # and only the others reach the link.
-    docs = {doc.id: doc for doc in parsed["m.jsonl"].documents}
-    assert list(docs) == ["m1", "m2", "m3", "m4", "m5"]
-    assert docs["m3"] == corpus.Document("m3")
-    assert {i: (d.title, d.abstract_raw, d.keywords) for i, d in docs.items() if i != "m3"} == {
+    documents = parsed["m.jsonl"].documents
+    assert [doc and doc.id for doc in documents] == ["m1", "m2", None, "m4", "m5"]
+    docs = {doc.id: doc for doc in documents if doc is not None}
+    assert {i: (d.title, d.abstract_raw, d.keywords) for i, d in docs.items()} == {
         "m1": ("By DOI", "Some text.", ("kw",)), "m2": ("matched by key", "Some text.", ("kw",)),
         "m4": ("Colliding", "Some text.", ("kw",)), "m5": ("Colliding", "Some text.", ("kw",))}
     assert linked == ["m1", "m2", "m4", "m5"]
@@ -1063,6 +1064,45 @@ def test_synth_corpus_out_round_trips_through_pipeline(tmp_path, capsys):
     assert rc == 0
     report = (tmp_path / "out2" / "report_all.csv").read_text()
     assert "zzalpha zzbeta" in report
+
+
+def test_synth_corpus_out_writes_each_document_as_a_scores_line_and_a_metadata_line(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "1", "--min-df", "5",
+                   "--out", str(tmp_path / "out"), "--corpus-out", str(corpus_dir)) == 0
+    spec = synth.SyntheticSpec.from_config(json.loads((FIXTURES / "synth_spec.json").read_text()))
+    docs = synth.generate_corpus(spec)
+    scores, metadata = [], []
+    for doc in docs:
+        rec = doc.to_record()
+        text = {"abstract": rec.pop("abstract"), "keywords": rec.pop("keywords")}
+        scores.append(corpus.json_line(rec))
+        metadata.append(corpus.json_line(
+            {"id": "m-" + doc.id, "doi": doc.doi, "title": doc.title, "journal": doc.journal, **text}))
+    assert (corpus_dir / "scores.jsonl").read_bytes() == "".join(scores).encode("utf-8")
+    assert (corpus_dir / "metadata.jsonl").read_bytes() == "".join(metadata).encode("utf-8")
+    assert f"wrote synthetic corpus ({len(docs)} documents) to {corpus_dir}" in capsys.readouterr().out
+
+
+def test_synth_holds_one_generated_corpus_at_a_time(tmp_path, monkeypatch, capsys):
+    # Each corpus generate_corpus returns must be unreachable by its next call: the --corpus-out
+    # corpus before the first simulation, and each simulation's before the next one's.
+    class Corpus(list):
+        pass
+
+    alive = []
+    generate_corpus = synth.generate_corpus
+
+    def tracked(*args, **kwargs):
+        assert [ref() is None for ref in alive] == [True] * len(alive)
+        docs = Corpus(generate_corpus(*args, **kwargs))
+        alive.append(weakref.ref(docs))
+        return docs
+
+    monkeypatch.setattr(synth, "generate_corpus", tracked)
+    assert run_cli("synth", "--spec", str(FIXTURES / "synth_spec.json"), "--sims", "3", "--min-df", "5",
+                   "--out", str(tmp_path / "out"), "--corpus-out", str(tmp_path / "corpus")) == 0
+    assert len(alive) == 4 and alive[-1]() is None
 
 
 def test_synth_seed_zero_overrides_spec_seed(tmp_path, capsys):

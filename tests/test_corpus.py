@@ -177,7 +177,7 @@ def test_iter_json_lines_skips_only_lines_of_json_whitespace():
 # ------------------------------------------------------------- linkable
 
 
-def test_parse_record_that_linkable_rejects_is_its_id_alone():
+def test_parse_record_that_linkable_rejects_is_none():
     recs = [
         {"id": "m1", "doi": " 10.1/A ", "title": "Wanted", "journal": "The  J", "abstract": "Kept text.",
          "keywords": ["k1"], "unit": "3", "score": 2, "submitter": "s"},
@@ -196,8 +196,7 @@ def test_parse_record_that_linkable_rejects_is_its_id_alone():
     assert asked == [("10.1/a", "wanted thej"), ("10.1/b", "unwanted j"), (None, "")]
     assert kept == parse_records(lines(recs[0])).documents[0]
     assert (kept.abstract_raw, kept.keywords, kept.unit, kept.score) == ("Kept text.", ("k1",), "3", 2)
-    assert dropped == Document("m2") and blank == Document("m3")
-    assert dropped.keywords is Document(id="x").keywords
+    assert dropped is None and blank is None
 
 
 def test_parse_linkable_leaves_diagnostics_and_the_record_count_alone():
@@ -218,7 +217,35 @@ def test_parse_linkable_leaves_diagnostics_and_the_record_count_alone():
     ]
     assert asked == [("10.1/a", ""), (None, "three")]   # never asked about a malformed or repeated line
     assert [d.id for d in every.documents] == ["m1", "m3"]
-    assert none.documents == [Document("m1"), Document("m3")]
+    assert none.documents == [None, None]
+
+
+def test_parse_holds_no_object_for_a_record_that_linkable_rejects():
+    # At 10^5 lines the rejected records cost their list slots only: an id-only Document
+    # and its id string took 185 bytes each.
+    n = 100_000
+    stream = [json.dumps({"id": f"m{k:06d}", "doi": f"10.2/m{k}", "title": f"Unwanted title {k}", "journal": "J",
+                          "abstract": "Some text."}) for k in range(n)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        parsed = parse_records(stream, lambda doi, key: False)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.documents == [None] * n and parsed.errors == []
+    assert held <= 16 * n
+
+
+def test_parse_reports_each_repeat_of_one_id_without_a_quadratic_stall():
+    n = 100_000
+    stream = [json.dumps({"id": "same", "abstract": f"text {k}"}) for k in range(n)]
+    start = time.perf_counter()
+    parsed = parse_records(stream)
+    elapsed = time.perf_counter() - start
+    assert [doc.abstract_raw for doc in parsed.documents] == ["text 0"]
+    assert parsed.errors == [(k, "duplicate id 'same' (first on line 1)") for k in range(2, n + 1)]
+    assert elapsed < 5.0
 
 
 def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():
@@ -625,6 +652,48 @@ def dedup_inputs(draw):
 def test_dedup_independent_of_input_order(inputs):
     docs, shuffled, scope, seed = inputs
     assert dedup_within_unit(shuffled, scope, seed) == dedup_within_unit(docs, scope, seed)
+
+
+def reference_dedup(docs, scope, seed):
+    """The grouping dedup_within_unit had before: one key tuple and one list for every document."""
+    groups = {}
+    for doc in docs:
+        groups.setdefault((doc.identity, "" if scope == "all" else getattr(doc, scope)), []).append(doc)
+    out = []
+    for (identity, _sv), copies in sorted(groups.items()):
+        keeper = min(copies, key=lambda d: d.id)
+        scores = sorted(d.score for d in copies if d.score is not None)
+        if len(copies) == 1 or not scores:
+            out.append(keeper)
+            continue
+        lo, hi = scores[(len(scores) - 1) // 2], scores[len(scores) // 2]
+        score = lo if lo == hi else random.Random(corpus.derive_seed(seed, identity)).choice((lo, hi))
+        out.append(keeper if score == keeper.score else dataclasses.replace(keeper, score=score))
+    return out
+
+
+@st.composite
+def dedup_corpora(draw):
+    # Few ids, so copies share ids too; units 1 and 2 are in panel A and 7 in panel B; a
+    # document may be passed twice.
+    docs = [Document(id=draw(st.sampled_from(["a", "b", "c", "d"])), doi=draw(DOIS), title=draw(TITLES),
+                     journal=draw(JOURNALS), unit=draw(st.sampled_from(["1", "2", "7"])),
+                     score=draw(st.sampled_from([None, 0, 1, 2, 3, 4])))
+            for _ in range(draw(st.integers(0, 14)))]
+    if docs:
+        docs += draw(st.lists(st.sampled_from(docs), max_size=2))
+    return draw(st.permutations(docs)), draw(st.integers(0, 9))
+
+
+@settings(max_examples=300)
+@given(dedup_corpora())
+def test_dedup_equals_the_one_list_per_document_reference(inputs):
+    docs, seed = inputs
+    for scope in ("unit", "panel", "all"):
+        got, want = dedup_within_unit(docs, scope, seed), reference_dedup(docs, scope, seed)
+        assert got == want
+        # The same objects come back: a keeper whose score stands is not copied.
+        assert [any(d is x for x in docs) for d in got] == [any(d is x for x in docs) for d in want]
 
 
 def test_dedup_scope_panel_vs_unit():

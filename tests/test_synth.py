@@ -4,10 +4,12 @@ import json
 import math
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
+from termassoc import synth
 from termassoc.corpus import Document, default_group_scheme
 from termassoc.pipeline import analyze_scope, clean_documents, plan_scope
 from termassoc.stats import AnalysisConfig
@@ -281,6 +283,33 @@ def test_detector_subgrams_of_planted_are_not_false_positives():
     metrics = evaluate_detector(spec, detector_config(), n_sims=2)
     assert metrics.recall == 1.0
     assert metrics.fwer == 0.0
+
+
+def test_detector_frees_each_simulation_before_generating_the_next(monkeypatch):
+    # A simulation's corpus and outcome must be unreachable when the next corpus is generated.
+    class Corpus(list):
+        pass
+
+    held = []
+    generate_corpus, analyze_scope = synth.generate_corpus, synth.analyze_scope
+
+    def tracked_generate(*args, **kwargs):
+        assert [ref() is None for ref in held] == [True] * len(held)
+        docs = Corpus(generate_corpus(*args, **kwargs))
+        held.append(weakref.ref(docs))
+        return docs
+
+    def tracked_analyze(*args, **kwargs):
+        outcome = analyze_scope(*args, **kwargs)
+        held.append(weakref.ref(outcome))
+        return outcome
+
+    monkeypatch.setattr(synth, "generate_corpus", tracked_generate)
+    monkeypatch.setattr(synth, "analyze_scope", tracked_analyze)
+    spec = small_spec(planted=[PlantedTerm(("zzalpha",), (0.05, 0.1, 0.6))], seed=5)
+    metrics = evaluate_detector(spec, detector_config(), n_sims=3)
+    assert metrics.n_sims == 3 and len(held) == 6
+    assert [ref() is None for ref in held] == [True] * 6
 
 
 def test_detector_invariant_to_document_shuffling():
