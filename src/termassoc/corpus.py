@@ -24,11 +24,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 # The builtin module spares every process the OpenSSL that hashlib loads
-# (about 3.5 MB resident) for a few short digests; Python 3.12 moved it.
+# (about 3.5 MB resident) for a few short digests: _sha256 up to Python 3.11,
+# _sha2 from 3.12 on.
 try:
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 VALID_SCORES = (0, 1, 2, 3, 4)
 
@@ -150,17 +154,30 @@ def parse_records(stream: Iterable[str],
     """
     documents: list[Optional[Document]] = []
     errors: list[tuple[int, str]] = []
-    first_line: dict[str, int] = {}   # id -> line it first appeared on
+    # Each id maps to None, and its first line is packed 4 bytes per id in the same order, so an id
+    # costs no int object of its own. The first repeated id unpacks them: from then on, id -> first line.
+    first_line: dict[str, Optional[int]] = {}
+    packed: Optional[bytearray] = bytearray()
     share = {}.setdefault   # these field values repeat across records: keep one string each
     for lineno, raw, problem in iter_json_lines(stream):
         problem = problem or _validate_record(raw)
         if problem:
             errors.append((lineno, problem))
             continue
-        if raw["id"] in first_line:
-            errors.append((lineno, f"duplicate id {raw['id']!r} (first on line {first_line[raw['id']]})"))
+        rid = raw["id"]
+        if rid in first_line:
+            if packed is not None:
+                first_line, packed = dict(zip(first_line, memoryview(packed).cast("I"))), None
+            errors.append((lineno, f"duplicate id {rid!r} (first on line {first_line[rid]})"))
             continue
-        first_line[raw["id"]] = lineno
+        if packed is None:
+            first_line[rid] = lineno
+        else:
+            first_line[rid] = None
+            try:
+                packed += lineno.to_bytes(4, sys.byteorder)
+            except OverflowError:
+                raise ValueError(f"line {lineno}: cannot check ids past line {2**32 - 1}") from None
         doi, title, journal = normalize_doi(raw.get("doi")), raw.get("title") or "", raw.get("journal") or ""
         if linkable is not None and not linkable(doi, title_journal_key(title, journal)):
             documents.append(None)
@@ -170,7 +187,7 @@ def parse_records(stream: Iterable[str],
         submitter = raw.get("submitter") or ""
         keywords = raw.get("keywords") or ()
         documents.append(Document(
-            id=raw["id"], doi=doi, title=title, journal=share(journal, journal),
+            id=rid, doi=doi, title=title, journal=share(journal, journal),
             abstract_raw=raw.get("abstract") or "", abstract_clean=raw.get("abstract_clean"),
             keywords=tuple(map(share, keywords, keywords)), unit=share(unit, unit), panel=share(panel, panel),
             score=raw.get("score"), submitter=share(submitter, submitter)))

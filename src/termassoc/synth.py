@@ -16,6 +16,7 @@ stream and a seed gives the same corpus as with `choice`.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
@@ -227,13 +228,24 @@ def evaluate_detector(
     fp_sims = 0
     m_values = []
     thresholds = []
-    for sim in range(n_sims):
-        m, threshold, recall, false_positive = simulate(sim)
-        m_values.append(m)
-        if threshold is not None:
-            thresholds.append(threshold)
-        recall_per_sim.append(recall)
-        fp_sims += false_positive
+    # A simulation's freed tuples stay on CPython's free lists until a full collection empties them,
+    # so collect after each one. Freezing what lives before the loop keeps each collection to the
+    # simulation's own objects; a caller's freeze is left as it was.
+    scoped = not gc.get_freeze_count()
+    if scoped:
+        gc.freeze()
+    try:
+        for sim in range(n_sims):
+            m, threshold, recall, false_positive = simulate(sim)
+            gc.collect()
+            m_values.append(m)
+            if threshold is not None:
+                thresholds.append(threshold)
+            recall_per_sim.append(recall)
+            fp_sims += false_positive
+    finally:
+        if scoped:
+            gc.unfreeze()
 
     observed = [r for r in recall_per_sim if r is not None]
     return DetectorMetrics(

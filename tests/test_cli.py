@@ -1170,8 +1170,8 @@ def test_pipeline_loads_the_rules_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
-                    reason="no _sha256 module: SHA-256 comes from hashlib here")
+@pytest.mark.skipif(all(importlib.util.find_spec(name) is None for name in ("_sha256", "_sha2")),
+                    reason="no _sha256 or _sha2 module: SHA-256 comes from hashlib here")
 def test_link_and_synth_runs_never_load_openssl(tmp_path):
     runs = [
         ["link", "--scores", str(FIXTURES / "scores.jsonl"), "--metadata", str(FIXTURES / "metadata.jsonl"),

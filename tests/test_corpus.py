@@ -222,7 +222,9 @@ def test_parse_linkable_leaves_diagnostics_and_the_record_count_alone():
 
 def test_parse_holds_no_object_for_a_record_that_linkable_rejects():
     # At 10^5 lines the rejected records cost their list slots only: an id-only Document
-    # and its id string took 185 bytes each.
+    # and its id string took 185 bytes each. While parsing, each id costs its string and a
+    # dict slot, and its first line 4 packed bytes, not an int object: an int per line
+    # peaked at 138 bytes a line here, the packed lines at 117.
     n = 100_000
     stream = [json.dumps({"id": f"m{k:06d}", "doi": f"10.2/m{k}", "title": f"Unwanted title {k}", "journal": "J",
                           "abstract": "Some text."}) for k in range(n)]
@@ -230,11 +232,12 @@ def test_parse_holds_no_object_for_a_record_that_linkable_rejects():
     try:
         before, _ = tracemalloc.get_traced_memory()
         parsed = parse_records(stream, lambda doi, key: False)
-        held = tracemalloc.get_traced_memory()[0] - before
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert parsed.documents == [None] * n and parsed.errors == []
-    assert held <= 16 * n
+    assert after - before <= 16 * n
+    assert peak - before <= 128 * n
 
 
 def test_parse_reports_each_repeat_of_one_id_without_a_quadratic_stall():
@@ -246,6 +249,45 @@ def test_parse_reports_each_repeat_of_one_id_without_a_quadratic_stall():
     assert [doc.abstract_raw for doc in parsed.documents] == ["text 0"]
     assert parsed.errors == [(k, "duplicate id 'same' (first on line 1)") for k in range(2, n + 1)]
     assert elapsed < 5.0
+
+
+def test_parse_names_the_first_line_of_an_id_first_repeated_after_many_others():
+    n = 50_000
+    stream = ["", "{not json", json.dumps({"abstract": "no id"}), "  \t"]
+    stream += [json.dumps({"id": f"m{k}"}) for k in range(n)]
+    stream += ["", json.dumps({"id": 7}), json.dumps({"id": "m31337"}), json.dumps({"id": "m0"})]
+    parsed = parse_records(stream)
+    assert len(parsed.documents) == n
+    assert parsed.errors == [
+        (2, "invalid JSON: Expecting property name enclosed in double quotes"),
+        (3, "missing required field 'id'"),
+        (n + 6, "field 'id' must be a string"),
+        (n + 7, "duplicate id 'm31337' (first on line 31342)"),
+        (n + 8, "duplicate id 'm0' (first on line 5)"),
+    ]
+
+
+def test_parse_reports_every_repeat_of_many_ids_exactly_and_fast():
+    n = 50_000
+    stream = [json.dumps({"id": f"m{k}"}) for k in range(n)] + [json.dumps({"id": f"m{k}"}) for k in range(n)]
+    start = time.perf_counter()
+    parsed = parse_records(stream)
+    elapsed = time.perf_counter() - start
+    assert [doc.id for doc in parsed.documents] == [f"m{k}" for k in range(n)]
+    assert parsed.errors == [(n + k + 1, f"duplicate id 'm{k}' (first on line {k + 1})") for k in range(n)]
+    assert elapsed < 5.0
+
+
+def test_parse_past_the_packed_line_limit_is_a_diagnostic(monkeypatch):
+    numbered = [(2**32 - 1, {"id": "a"}, None), (2**32, {"id": "b"}, None)]
+    monkeypatch.setattr(corpus, "iter_json_lines", lambda stream: iter(numbered))
+    with pytest.raises(ValueError, match=r"^line 4294967296: cannot check ids past line 4294967295$"):
+        parse_records([])
+    # A repeat before the limit has unpacked the lines already, so nothing limits them.
+    numbered[:0] = [(1, {"id": "a"}, None)]
+    parsed = parse_records([])
+    assert [doc.id for doc in parsed.documents] == ["a", "b"]
+    assert parsed.errors == [(2**32 - 1, "duplicate id 'a' (first on line 1)")]
 
 
 def test_lookup_index_holds_each_doi_and_non_empty_title_journal_key():

@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -29,25 +31,31 @@ def _catches_import_error(handler):
     )
 
 
+def _falls_back_to_the_standard_library(node):
+    """Whether a `try`'s `except ImportError` imports a stdlib module, directly or through a nested `try` that does."""
+    for handler in node.handlers:
+        if not _catches_import_error(handler):
+            continue
+        names = [n for stmt in handler.body for n in _top_names(stmt)]
+        if names and all(_is_stdlib(n) for n in names):
+            return True
+        if not names and any(isinstance(stmt, ast.Try) and _falls_back_to_the_standard_library(stmt)
+                             for stmt in handler.body):
+            return True
+    return False
+
+
 def _guarded_imports(tree):
     """Imports in a `try` whose `except ImportError` imports a stdlib module in their place.
 
     This is how a module takes an accelerator that only some CPython versions
     ship (as `random` does with `_sha512`), so its name is in
-    `sys.stdlib_module_names` on those versions only.
+    `sys.stdlib_module_names` on those versions only. The fallback may itself
+    be such a `try`, as when a module moved between versions.
     """
     guarded = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Try):
-            continue
-        fallbacks = [
-            stmt
-            for handler in node.handlers
-            if _catches_import_error(handler)
-            for stmt in handler.body
-            if _top_names(stmt)
-        ]
-        if fallbacks and all(_is_stdlib(n) for stmt in fallbacks for n in _top_names(stmt)):
+        if isinstance(node, ast.Try) and _falls_back_to_the_standard_library(node):
             guarded.update(id(stmt) for stmt in node.body if _top_names(stmt))
     return guarded
 
@@ -129,9 +137,38 @@ def test_a_guarded_import_needs_a_stdlib_fallback():
     other_exception = ast.parse(
         "try:\n    from _nosuchmod import f\nexcept ValueError:\n    from hashlib import f\n"
     )
+    chained = ast.parse(
+        "try:\n    from _nosuchmod import f\nexcept ImportError:\n"
+        "    try:\n        from _nosuchmod2 import f\n    except ImportError:\n        from hashlib import f\n"
+    )
+    chained_to_foreign = ast.parse(
+        "try:\n    from _nosuchmod import f\nexcept ImportError:\n"
+        "    try:\n        from _nosuchmod2 import f\n    except ImportError:\n        from numpy import f\n"
+    )
     assert len(_guarded_imports(good)) == 1
+    assert len(_guarded_imports(chained)) == 2
+    assert not _guarded_imports(chained_to_foreign)
     assert not _guarded_imports(foreign_fallback)
     assert not _guarded_imports(other_exception)
     assert _absent_or_in_the_standard_library("_nosuchmod")
     assert _absent_or_in_the_standard_library("json")
     assert not _absent_or_in_the_standard_library("pytest")
+
+
+# The shared-library modules that importing the CLI may load on CPython 3.10-3.13. Each one maps
+# a file of its own into every process: `import array` alone cost 0.14 MB resident.
+ALLOWED_EXTENSIONS = {"_bisect", "_csv", "_json", "_opcode", "_random", "_sha256", "_sha512", "_sha2", "_typing",
+                      "math", "grp"}
+EXTENSIONS_LOADED = ("import sys, importlib.machinery as m; import termassoc.cli; "
+                     "print(*sorted(name for name, mod in sys.modules.items() "
+                     "if (getattr(mod, '__file__', None) or '').endswith(tuple(m.EXTENSION_SUFFIXES))))")
+
+
+def test_importing_the_cli_loads_only_allowed_extension_modules():
+    # OpenSSL's _hashlib, _blake2 (which hashlib loads) and array must stay out.
+    assert not {"_hashlib", "_blake2", "array"} & ALLOWED_EXTENSIONS
+    proc = subprocess.run([sys.executable, "-S", "-c", EXTENSIONS_LOADED], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert loaded and loaded <= ALLOWED_EXTENSIONS, sorted(loaded - ALLOWED_EXTENSIONS)

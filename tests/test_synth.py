@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -310,6 +312,36 @@ def test_detector_frees_each_simulation_before_generating_the_next(monkeypatch):
     metrics = evaluate_detector(spec, detector_config(), n_sims=3)
     assert metrics.n_sims == 3 and len(held) == 6
     assert [ref() is None for ref in held] == [True] * 6
+
+
+def test_detector_leaves_no_freed_simulation_on_the_free_lists():
+    # One simulation of the synth-sims benchmark's shape left 0.53 MiB of freed tuples on CPython's
+    # free lists, which only the next full collection released.
+    spec = SyntheticSpec(group_sizes=(200, 200, 200), vocab_size=400, sentences_per_doc=4, tokens_per_sentence=12,
+                         planted=[PlantedTerm(("plantsyna", "plantsynb"), (0.1, 0.1, 0.9))], seed=3)
+    frozen = gc.get_freeze_count()
+    tracemalloc.start()
+    try:
+        metrics = evaluate_detector(spec, AnalysisConfig(n_max=3), n_sims=1)
+        before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert metrics.recall == 1.0
+    assert freed < 0.05 * 2**20
+    assert gc.get_freeze_count() == frozen
+
+
+def test_detector_leaves_a_callers_freeze_in_place():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        evaluate_detector(small_spec(), detector_config(), n_sims=2)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_detector_invariant_to_document_shuffling():
