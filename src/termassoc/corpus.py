@@ -166,8 +166,11 @@ def parse_records(stream: Iterable[str],
             continue
         rid = raw["id"]
         if rid in first_line:
-            if packed is not None:
-                first_line, packed = dict(zip(first_line, memoryview(packed).cast("I"))), None
+            if packed is not None:   # unpack in place, last id first, freeing packed lines as their ints are made
+                for key in reversed(first_line):
+                    first_line[key] = int.from_bytes(packed[-4:], sys.byteorder)
+                    del packed[-4:]
+                packed = None
             errors.append((lineno, f"duplicate id {rid!r} (first on line {first_line[rid]})"))
             continue
         if packed is None:

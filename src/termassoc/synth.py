@@ -230,10 +230,8 @@ def evaluate_detector(
     thresholds = []
     # A simulation's freed tuples stay on CPython's free lists until a full collection empties them,
     # so collect after each one. Freezing what lives before the loop keeps each collection to the
-    # simulation's own objects; a caller's freeze is left as it was.
-    scoped = not gc.get_freeze_count()
-    if scoped:
-        gc.freeze()
+    # simulation's own objects.
+    gc.freeze()
     try:
         for sim in range(n_sims):
             m, threshold, recall, false_positive = simulate(sim)
@@ -244,8 +242,7 @@ def evaluate_detector(
             recall_per_sim.append(recall)
             fp_sims += false_positive
     finally:
-        if scoped:
-            gc.unfreeze()
+        gc.unfreeze()
 
     observed = [r for r in recall_per_sim if r is not None]
     return DetectorMetrics(

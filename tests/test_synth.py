@@ -333,17 +333,6 @@ def test_detector_leaves_no_freed_simulation_on_the_free_lists():
     assert gc.get_freeze_count() == frozen
 
 
-def test_detector_leaves_a_callers_freeze_in_place():
-    gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        assert frozen
-        evaluate_detector(small_spec(), detector_config(), n_sims=2)
-        assert gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
-
-
 def test_detector_invariant_to_document_shuffling():
     spec = small_spec(
         group_sizes=(80, 80, 80),
